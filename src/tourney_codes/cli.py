@@ -15,6 +15,7 @@ import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -111,33 +112,38 @@ def _emit(report: dict, fmt: str, tsv_rows: list[list]) -> None:
             sys.stdout.write("\t".join(str(cell) for cell in row) + "\n")
 
 
-def _map_ordered(worker, items: list, threads: int) -> list:
-    if threads > 1 and len(items) > 1:
+def _per_line(worker, tol: Tolerances, entry: tuple[int, Tournament]) -> dict:
+    # Errors name the input line; the exception type keeps the exit code.
+    k, T = entry
+    try:
+        return worker(T, tol)
+    except (InputError, InternalConsistencyError) as exc:
+        raise type(exc)(f"line {k}: {T.line()}: {exc}") from None
+
+
+def _map_lines(worker, entries: list[tuple[int, Tournament]], tol: Tolerances) -> list:
+    """worker(T, tol) for every numbered entry, in input order."""
+    run = partial(_per_line, worker, tol)
+    threads = _env_threads()
+    if threads > 1 and len(entries) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, items))
-    return [worker(item) for item in items]
+            return list(pool.map(run, entries))
+    return [run(entry) for entry in entries]
 
 
-def _analyze_worker(item: tuple[str, float, float]) -> dict:
-    line, eig, beta = item
-    tol = Tolerances(cluster_gap_factor=eig, beta_zero=beta)
-    T = parse_line(line)
+def _analyze_worker(T: Tournament, tol: Tolerances) -> dict:
     report = analyze(T, tol)
     out = {"line": T.line()}
     out.update(report.to_json_dict())
-    tight = classify_code(T, tol) if T.n >= 3 else None
-    if tight is not None:
-        out["tightness"] = tight.to_json_dict()
+    if T.n >= 3:
+        out["tightness"] = classify_code(T, tol, report=report).to_json_dict()
     return out
 
 
-def _embed_worker(item: tuple[str, float, float]) -> dict:
-    line, eig, beta = item
-    tol = Tolerances(cluster_gap_factor=eig, beta_zero=beta)
-    T = parse_line(line)
+def _embed_worker(T: Tournament, tol: Tolerances) -> dict:
     emb = embed(T, tol)
     verdict = verify_embedding(emb, T)
-    report = analyze(T, tol)
+    report = emb.report if emb.report is not None else analyze(T, tol)
     out = {"line": T.line()}
     out.update(report.to_json_dict())
     out["dimension"] = emb.dimension
@@ -151,9 +157,8 @@ def _embed_worker(item: tuple[str, float, float]) -> dict:
 def cmd_analyze(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
     text = _read_input(args.input)
-    tournaments = parse_catalog(text.splitlines())
-    items = [(T.line(), tol.cluster_gap_factor, tol.beta_zero) for T in tournaments]
-    results = _map_ordered(_analyze_worker, items, _env_threads())
+    entries = parse_catalog(text.splitlines(), numbered=True)
+    results = _map_lines(_analyze_worker, entries, tol)
     rows = [[r["line"], r["type"], r["rep_dim"], r["alpha"]["re"], r["alpha"]["im"],
              r.get("tightness", {}).get("certificate", {}).get("kind", "")]
             for r in results]
@@ -164,9 +169,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_embed(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
     text = _read_input(args.input)
-    tournaments = parse_catalog(text.splitlines())
-    items = [(T.line(), tol.cluster_gap_factor, tol.beta_zero) for T in tournaments]
-    results = _map_ordered(_embed_worker, items, _env_threads())
+    entries = parse_catalog(text.splitlines(), numbered=True)
+    results = _map_lines(_embed_worker, entries, tol)
     rows = [[r["line"], r["dimension"], f"{r['max_deviation']:.3e}", r["check_passed"]]
             for r in results]
     _emit(_report("embed", _digest(text), tol, results), args.format, rows)

@@ -18,11 +18,11 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError, InternalConsistencyError
-from .representation import RepReport, TypeVariant, analyze
+from .representation import RepReport, TypeVariant, analyze, classify_type
 from .spectral import DEFAULT_TOLERANCES, Tolerances, spectrum_of
-from .tournament import (Tournament, adjacency, canonical_form, dominated_extension,
-                         enumerate_tournaments, parse_catalog, paley_tournament,
-                         seidel_squared, switching_class)
+from .tournament import (Tournament, TournamentMatrices, add_vertex, canonical_form,
+                         dominated_extension, enumerate_tournaments, parse_catalog,
+                         paley_tournament, switching_class)
 
 log = logging.getLogger(__name__)
 
@@ -75,15 +75,17 @@ class TightnessReport:
         }
 
 
-def is_doubly_regular(T: Tournament) -> DrtParams | None:
+def is_doubly_regular(T: Tournament, *,
+                      matrices: TournamentMatrices | None = None) -> DrtParams | None:
     """Parameters of a doubly regular tournament, or None.
 
     Doubly regular means every vertex has the same out-degree and every
     ordered vertex pair has the same number of common out-neighbors.
+    matrices, when given, must be T's shared matrices.
     """
     if T.n < 3:
         return None
-    A = adjacency(T)
+    A = TournamentMatrices.of(T, matrices).adjacency
     degrees = A.sum(axis=1)
     if not np.all(degrees == degrees[0]):
         return None
@@ -101,44 +103,49 @@ def is_doubly_regular(T: Tournament) -> DrtParams | None:
     return DrtParams(T.n, k, lam)
 
 
-def skew_hadamard_check(T: Tournament) -> bool:
-    """True iff H = I + A - A^T satisfies H H^T = nI (and H + H^T = 2I)."""
-    A = adjacency(T)
+def skew_hadamard_check(T: Tournament, *,
+                        matrices: TournamentMatrices | None = None) -> bool:
+    """True iff H = I + A - A^T satisfies H H^T = nI (and H + H^T = 2I).
+
+    matrices, when given, must be T's shared matrices.
+    """
+    A = TournamentMatrices.of(T, matrices).adjacency
     H = np.eye(T.n, dtype=np.int64) + A - A.T
     return bool(np.array_equal(H @ H.T, T.n * np.eye(T.n, dtype=np.int64)))
 
 
 def _components(mask: np.ndarray) -> list[list[int]]:
-    n = mask.shape[0]
-    seen = [False] * n
+    # Connected components of a symmetric boolean matrix, each sorted,
+    # ordered by their smallest vertex.
+    seen = np.zeros(mask.shape[0], dtype=bool)
     comps = []
-    for start in range(n):
+    for start in range(mask.shape[0]):
         if seen[start]:
             continue
-        queue = [start]
-        seen[start] = True
-        comp = []
-        while queue:
-            u = queue.pop()
-            comp.append(u)
-            for v in range(n):
-                if not seen[v] and mask[u, v]:
-                    seen[v] = True
-                    queue.append(v)
-        comps.append(sorted(comp))
+        comp = np.zeros_like(seen)
+        frontier = comp.copy()
+        frontier[start] = True
+        while frontier.any():
+            comp |= frontier
+            frontier = mask[frontier].any(axis=0) & ~comp
+        seen |= comp
+        comps.append(np.flatnonzero(comp).tolist())
     return comps
 
 
-def block_form_check(T: Tournament) -> BlockFormCert | None:
+def block_form_check(T: Tournament, *,
+                     matrices: TournamentMatrices | None = None) -> BlockFormCert | None:
     """Certificate that S^2 = diag(kI + lJ, kI + lJ) with k, l > 0, or None.
 
     The two diagonal blocks must cover n/2 vertices each and share the
     same off-diagonal value l; k = n - 1 - l follows from the diagonal.
+    matrices, when given, must be T's shared matrices.
     """
     if T.n % 2:
         raise InputError(f"block form check needs an even vertex count, got n={T.n}")
     n = T.n
-    S2 = seidel_squared(T)
+    matrices = TournamentMatrices.of(T, matrices)
+    S2 = matrices.seidel_squared
     offdiag = ~np.eye(n, dtype=bool)
     support = (S2 != 0) & offdiag
     if not support.any():
@@ -152,11 +159,10 @@ def block_form_check(T: Tournament) -> BlockFormCert | None:
     first, second = (comps[0], comps[1]) if 0 in comps[0] else (comps[1], comps[0])
     if len(first) != n // 2 or len(second) != n // 2:
         return None
+    inside = ~np.eye(n // 2, dtype=bool)
     values = set()
     for comp in (first, second):
-        for i, u in enumerate(comp):
-            for v in comp[i + 1:]:
-                values.add(int(S2[u, v]))
+        values.update(S2[np.ix_(comp, comp)][inside].tolist())
     if len(values) != 1:
         return None
     l = values.pop()
@@ -172,32 +178,30 @@ def block_form_check(T: Tournament) -> BlockFormCert | None:
         raise InternalConsistencyError(
             f"block form found with even half size {d}")
     for comp in (first, second):
-        degrees = {sum(1 for v in comp if v != u and T.arc(u, v)) for u in comp}
+        degrees = set(matrices.adjacency[np.ix_(comp, comp)].sum(axis=1).tolist())
         if degrees != {(d - 1) // 2}:
             raise InternalConsistencyError(
                 f"block {comp} does not induce a regular subtournament")
     return BlockFormCert(k, l, (tuple(first), tuple(second)))
 
 
-def _forced_extension(T: Tournament) -> Tournament | None:
+def _forced_extension(T: Tournament, matrices: TournamentMatrices) -> Tournament | None:
     # In a doubly regular tournament of order n + 1 every out-degree is
     # n/2, so the orientation of each arc at the new vertex is forced.
-    from .tournament import _extend
-
     target = T.n // 2
     pattern = 0
-    for v in range(T.n):
-        deg = T.out_degree(v)
+    for v, deg in enumerate(matrices.adjacency.sum(axis=1).tolist()):
         if deg == target - 1:
             pattern |= 1 << v
         elif deg != target:
             return None
-    return _extend(T, pattern)
+    return add_vertex(T, pattern)
 
 
-def _deleted_drt_spectrum(T: Tournament, tol: Tolerances) -> bool:
+def _deleted_drt_spectrum(T: Tournament, tol: Tolerances, report: RepReport | None,
+                          matrices: TournamentMatrices) -> bool:
     d = T.n // 2
-    spectrum = spectrum_of(T, tol)
+    spectrum = spectrum_of(T, tol, matrices=matrices) if report is None else report.spectrum
     lines = spectrum.lines
     if len(lines) != 4:
         return False
@@ -207,27 +211,31 @@ def _deleted_drt_spectrum(T: Tournament, tol: Tolerances) -> bool:
     phi_sq = lines[2].tau ** 2
     if abs(theta_sq - (T.n + 1)) > 1e-6 * (T.n + 1) or abs(phi_sq - 1.0) > 1e-6:
         return False
-    from .representation import classify_type
+    if report is not None:
+        return report.type_class.variant is TypeVariant.TYPE1
+    return classify_type(spectrum, exact_s2=matrices.seidel_squared).variant is TypeVariant.TYPE1
 
-    return classify_type(spectrum, exact_s2=seidel_squared(T)).variant is TypeVariant.TYPE1
 
-
-def drt_minus_vertex_check(T: Tournament, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
+def drt_minus_vertex_check(T: Tournament, tol: Tolerances = DEFAULT_TOLERANCES, *,
+                           report: RepReport | None = None) -> bool:
     """True iff some one-vertex extension of T is doubly regular.
 
     The extension is degree-forced, so the search is exact and cheap.  For
     n >= 6 the equivalent spectral signature (eigenvalues -theta, -1, 1,
     theta with theta^2 = n + 1, multiplicities d-1, 1, 1, d-1, and a zero
     bottom main angle) is evaluated as well; the two routes must agree.
+    report, when given, must be analyze(T, tol); its spectrum, type and
+    matrices are then used instead of being computed again.
     """
     if T.n % 2:
         raise InputError(f"deleted-vertex check needs an even vertex count, got n={T.n}")
     if (T.n + 1) % 4 != 3:
         return False
-    ext = _forced_extension(T)
+    matrices = TournamentMatrices.of(T, None if report is None else report.matrices)
+    ext = _forced_extension(T, matrices)
     ext_ok = ext is not None and is_doubly_regular(ext) is not None
     if T.n >= 6:
-        spectral_ok = _deleted_drt_spectrum(T, tol)
+        spectral_ok = _deleted_drt_spectrum(T, tol, report, matrices)
         if spectral_ok != ext_ok:
             raise InternalConsistencyError(
                 "spectral signature and forced-extension search disagree on "
@@ -245,18 +253,22 @@ def _expect_shape(report: RepReport, mults: list[int], variant: TypeVariant,
             f"{mults} with type {int(variant)}")
 
 
-def classify_code(T: Tournament, tol: Tolerances = DEFAULT_TOLERANCES) -> TightnessReport:
+def classify_code(T: Tournament, tol: Tolerances = DEFAULT_TOLERANCES, *,
+                  report: RepReport | None = None) -> TightnessReport:
     """Tightness report with a structural certificate.
 
     Tight odd-dimension codes must be doubly regular; tight even-dimension
     codes must pass the skew Hadamard check; one short of the odd bound
     exactly one of the deleted-vertex and block-form certificates applies.
     Each certificate is cross-validated against the spectrum shape, and
-    any disagreement raises InternalConsistencyError.
+    any disagreement raises InternalConsistencyError.  report, when given,
+    must be analyze(T, tol); it is then used instead of a second analysis.
     """
     if T.n < 3:
         raise InputError(f"tightness classification needs n >= 3, got n={T.n}")
-    report = analyze(T, tol)
+    if report is None:
+        report = analyze(T, tol)
+    matrices = TournamentMatrices.of(T, report.matrices)
     d = report.rep_dim
     n = T.n
     bound = 2 * d + 1 if d % 2 else 2 * d
@@ -265,20 +277,20 @@ def classify_code(T: Tournament, tol: Tolerances = DEFAULT_TOLERANCES) -> Tightn
     drt = None
     block = None
     if is_tight and d % 2:
-        drt = is_doubly_regular(T)
+        drt = is_doubly_regular(T, matrices=matrices)
         if drt is None:
             raise InternalConsistencyError(
                 f"tight code in odd dimension {d} without double regularity")
         kind = "DRT"
     elif is_tight:
-        if not skew_hadamard_check(T):
+        if not skew_hadamard_check(T, matrices=matrices):
             raise InternalConsistencyError(
                 f"tight code in even dimension {d} without a skew Hadamard matrix")
         kind = "SkewHadamard"
         _expect_shape(report, [d, d], TypeVariant.TYPE2, "tight even dimension")
     elif n == 2 * d and d % 2:
-        deleted = drt_minus_vertex_check(T, tol)
-        block = block_form_check(T)
+        deleted = drt_minus_vertex_check(T, tol, report=report)
+        block = block_form_check(T, matrices=matrices)
         if deleted == (block is not None):
             raise InternalConsistencyError(
                 f"n = 2d with odd d = {d}: exactly one of the deleted-vertex and "

@@ -12,7 +12,7 @@ rank exactly the embedding dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
@@ -21,7 +21,7 @@ from .errors import InputError, InternalConsistencyError
 from .spectral import (DEFAULT_TOLERANCES, Spectrum, Tolerances, eigensystem,
                        exact_integer_eigenvalue, exact_ones_resolvent,
                        seidel_matrix, spectrum_of)
-from .tournament import Tournament, adjacency, seidel_squared
+from .tournament import Tournament, TournamentMatrices, adjacency
 
 GRAM_PSD_FLOOR = 1e-8      # scaled by n
 GRAM_RANK_CUT = 1e-7       # scaled by the largest Gram eigenvalue
@@ -58,11 +58,14 @@ class TypeClass:
 
 @dataclass(frozen=True)
 class RepReport:
+    """What analyze finds; matrices are the tournament's shared matrices."""
+
     n: int
     type_class: TypeClass
     rep_dim: int
     alpha: complex
     spectrum: Spectrum
+    matrices: TournamentMatrices | None = field(default=None, compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -81,11 +84,15 @@ class RepReport:
 
 @dataclass(frozen=True, eq=False)
 class Embedding:
-    """Unit vectors, one per vertex, as rows of an (n, d) complex array."""
+    """Unit vectors, one per vertex, as rows of an (n, d) complex array.
+
+    report is the analysis the embedding was built from, when known.
+    """
 
     dimension: int
     vectors: np.ndarray
     alpha: complex
+    report: RepReport | None = None
 
 
 @dataclass(frozen=True)
@@ -190,8 +197,9 @@ def analyze(T: Tournament, tol: Tolerances = DEFAULT_TOLERANCES) -> RepReport:
     """Type, minimum embedding dimension, and optimal angle of a tournament."""
     if T.n < 2:
         raise InputError("a single point has no angle set; n >= 2 required")
-    spectrum = spectrum_of(T, tol)
-    tc = classify_type(spectrum, exact_s2=seidel_squared(T))
+    matrices = TournamentMatrices(T)
+    spectrum = spectrum_of(T, tol, matrices=matrices)
+    tc = classify_type(spectrum, exact_s2=matrices.seidel_squared)
     rep = _rep_dim(T.n, tc)
     if not 1 <= rep <= T.n - 1:
         raise InternalConsistencyError(f"embedding dimension {rep} out of range for n={T.n}")
@@ -200,7 +208,7 @@ def analyze(T: Tournament, tol: Tolerances = DEFAULT_TOLERANCES) -> RepReport:
         raise InternalConsistencyError(
             f"optimal angle {alpha} is real; a two-value angle set needs a "
             "nonreal angle")
-    return RepReport(T.n, tc, rep, alpha, spectrum)
+    return RepReport(T.n, tc, rep, alpha, spectrum, matrices)
 
 
 def rep_dimension(T: Tournament, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
@@ -245,7 +253,7 @@ def embed(T: Tournament, tol: Tolerances = DEFAULT_TOLERANCES) -> Embedding:
     cutoff = GRAM_RANK_CUT * max(float(w[-1]), GRAM_RANK_CUT)
     keep = w >= cutoff
     vectors = U[:, keep].conj() * np.sqrt(w[keep])
-    emb = Embedding(int(keep.sum()), vectors, report.alpha)
+    emb = Embedding(int(keep.sum()), vectors, report.alpha, report)
     verdict = verify_embedding(emb, T)
     if not verdict.passed:
         raise InternalConsistencyError(
@@ -266,10 +274,13 @@ def verify_embedding(emb: Embedding, T: Tournament, tol: float = EMBED_TOL) -> E
     inner = X.conj() @ X.T
     deviation = float(np.abs(np.diag(inner).real - 1.0).max())
     deviation = max(deviation, float(np.abs(np.diag(inner).imag).max()))
-    for u in range(T.n):
-        for v in range(u + 1, T.n):
-            want = emb.alpha if T.arc(u, v) else np.conj(emb.alpha)
-            deviation = max(deviation, abs(inner[u, v] - want))
+    if T.n > 1:
+        rows, cols = np.triu_indices(T.n, 1)
+        arcs = adjacency(T)[rows, cols] == 1
+        d = inner[rows, cols] - np.where(arcs, emb.alpha, np.conj(emb.alpha))
+        # hypot rounds exactly as the scalar abs() of one complex value does;
+        # np.abs on an array can differ from it in the last bit.
+        deviation = max(deviation, float(np.hypot(d.real, d.imag).max()))
     return EmbeddingVerdict(deviation <= tol, deviation)
 
 

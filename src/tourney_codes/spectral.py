@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError, InternalConsistencyError
-from .tournament import Tournament, adjacency, seidel_squared
+from .tournament import Tournament, TournamentMatrices, adjacency
 
 log = logging.getLogger(__name__)
 
@@ -100,7 +100,10 @@ class Spectrum:
 
 def seidel_matrix(T: Tournament) -> np.ndarray:
     """Hermitian matrix sqrt(-1) (A - A^T); entry (u, v) is +i iff u -> v."""
-    A = adjacency(T)
+    return _seidel(adjacency(T))
+
+
+def _seidel(A: np.ndarray) -> np.ndarray:
     return 1j * (A - A.T).astype(np.complex128)
 
 
@@ -176,7 +179,12 @@ def _exact_main_square_roots(s2) -> np.ndarray:
     """
     rows = [[int(x) for x in row] for row in np.asarray(s2)]
     coeffs = _krylov_minimal_polynomial(rows)
-    poly = [float(c) for c in reversed(coeffs)]
+    try:
+        poly = [float(c) for c in reversed(coeffs)]
+    except OverflowError:
+        raise InternalConsistencyError(
+            "the exact main-angle polynomial has coefficients beyond floating "
+            "range, so its roots cannot be located") from None
     roots = np.roots(poly)
     return np.sort(roots.real)
 
@@ -319,10 +327,16 @@ def group_spectrum(eigenvalues, eigenvectors, j_vector=None, *,
     return Spectrum(n, lines, gap_tol, tuple(warnings))
 
 
-def spectrum_of(T: Tournament, tol: Tolerances = DEFAULT_TOLERANCES) -> Spectrum:
-    """Grouped Seidel spectrum of a tournament, with the exact cross-check wired in."""
-    w, V = eigensystem(seidel_matrix(T))
-    return group_spectrum(w, V, exact_s2=seidel_squared(T), tol=tol)
+def spectrum_of(T: Tournament, tol: Tolerances = DEFAULT_TOLERANCES, *,
+                matrices: TournamentMatrices | None = None) -> Spectrum:
+    """Grouped Seidel spectrum of a tournament, with the exact cross-check wired in.
+
+    matrices, when given, must be T's shared matrices; S and S^2 are then
+    taken from them instead of being rebuilt.
+    """
+    M = TournamentMatrices.of(T, matrices)
+    w, V = eigensystem(_seidel(M.adjacency))
+    return group_spectrum(w, V, exact_s2=M.seidel_squared, tol=tol)
 
 
 @dataclass(frozen=True)

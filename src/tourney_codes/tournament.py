@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -56,7 +56,9 @@ class Tournament:
         return (self.bits >> pair_index(v, u, self.n)) & 1 == 0
 
     def out_degree(self, v: int) -> int:
-        return sum(1 for w in range(self.n) if w != v and self.arc(v, w))
+        if not 0 <= v < self.n:
+            raise InputError(f"invalid vertex {v} for n={self.n}")
+        return int(adjacency(self)[v].sum())
 
     def bitstring(self) -> str:
         return "".join("1" if (self.bits >> k) & 1 else "0" for k in range(self.num_pairs))
@@ -102,17 +104,22 @@ def parse_line(line: str) -> Tournament:
     return build(int(m.group(1)), m.group(2))
 
 
-def parse_catalog(lines: Iterable[str]) -> list[Tournament]:
-    """Parse a stream of tournament lines, skipping blanks and '#' comments."""
+def parse_catalog(lines: Iterable[str], *, numbered: bool = False) -> list:
+    """Parse a stream of tournament lines, skipping blanks and '#' comments.
+
+    With numbered=True each entry is a (line number, tournament) pair,
+    counting lines from 1 and including the skipped ones.
+    """
     out = []
     for k, raw in enumerate(lines, start=1):
         text = raw.strip()
         if not text or text.startswith("#"):
             continue
         try:
-            out.append(parse_line(text))
+            T = parse_line(text)
         except InputError as exc:
             raise InputError(f"line {k}: {exc}") from None
+        out.append((k, T) if numbered else T)
     return out
 
 
@@ -130,16 +137,58 @@ def from_adjacency(matrix) -> Tournament:
     return build(n, bits)
 
 
+@lru_cache(maxsize=32)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # np.triu_indices walks the pairs in row-major order, the bit order.
+    rows, cols = np.triu_indices(n, 1)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
+
+
 def adjacency(T: Tournament) -> np.ndarray:
     """0/1 adjacency matrix, A[u][v] = 1 iff the arc u -> v is present."""
+    raw = T.bits.to_bytes((T.num_pairs + 7) // 8, "little")
+    upper = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=T.num_pairs,
+                          bitorder="little").astype(np.int64)
+    rows, cols = _upper_pairs(T.n)
     A = np.zeros((T.n, T.n), dtype=np.int64)
-    for u in range(T.n):
-        for v in range(u + 1, T.n):
-            if T.arc(u, v):
-                A[u, v] = 1
-            else:
-                A[v, u] = 1
+    A[rows, cols] = upper
+    A[cols, rows] = 1 - upper
     return A
+
+
+@dataclass(frozen=True, eq=False)
+class TournamentMatrices:
+    """The integer matrices of one tournament, each built at most once.
+
+    The analysis passes one instance from layer to layer, so that A and
+    S^2 are not rebuilt for every check.  The arrays are read-only.
+    """
+
+    tournament: Tournament
+
+    @staticmethod
+    def of(T: Tournament, given: TournamentMatrices | None = None) -> TournamentMatrices:
+        """given, after checking that it belongs to T, or fresh matrices of T."""
+        if given is None:
+            return TournamentMatrices(T)
+        if given.tournament != T:
+            raise InputError("the shared matrices belong to a different tournament")
+        return given
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        A = adjacency(self.tournament)
+        A.flags.writeable = False
+        return A
+
+    @cached_property
+    def seidel_squared(self) -> np.ndarray:
+        K = self.adjacency - self.adjacency.T
+        S2 = -(K @ K)
+        S2.flags.writeable = False
+        return S2
 
 
 def seidel_squared(T: Tournament) -> np.ndarray:
@@ -147,9 +196,7 @@ def seidel_squared(T: Tournament) -> np.ndarray:
 
     Symmetric, with every diagonal entry equal to n - 1.
     """
-    K = adjacency(T)
-    K = K - K.T
-    return -(K @ K)
+    return np.array(TournamentMatrices(T).seidel_squared)
 
 
 def relabel(T: Tournament, perm: Sequence[int]) -> Tournament:
@@ -193,22 +240,28 @@ def delete_vertex(T: Tournament, v: int) -> Tournament:
     return build(T.n - 1, bits)
 
 
-def _extend(T: Tournament, in_pattern: int) -> Tournament:
-    # New vertex gets index T.n; bit v of in_pattern set means arc v -> new.
-    n = T.n + 1
-    bits = 0
-    for u in range(T.n):
-        for v in range(u + 1, T.n):
-            if T.arc(u, v):
-                bits |= 1 << pair_index(u, v, n)
-        if (in_pattern >> u) & 1:
-            bits |= 1 << pair_index(u, T.n, n)
-    return Tournament(n, bits)
+def add_vertex(T: Tournament, in_pattern: int) -> Tournament:
+    """T with one new vertex n = T.n added.
+
+    Bit v of in_pattern set means the arc v -> n, clear means n -> v.
+    """
+    n = T.n
+    if not 0 <= in_pattern < 1 << n:
+        raise InputError(f"in-pattern must have at most {n} bits, got {in_pattern}")
+    # Row u of the new pair order is row u of T followed by the pair (u, n).
+    bits = pos = src = 0
+    for u in range(n):
+        width = n - 1 - u
+        bits |= ((T.bits >> src) & ((1 << width) - 1)) << pos
+        bits |= ((in_pattern >> u) & 1) << (pos + width)
+        src += width
+        pos += width + 1
+    return Tournament(n + 1, bits)
 
 
 def dominated_extension(T: Tournament) -> Tournament:
     """Add one vertex with every arc pointing into it."""
-    return _extend(T, (1 << T.n) - 1)
+    return add_vertex(T, (1 << T.n) - 1)
 
 
 def paley_tournament(q: int) -> Tournament:
@@ -381,7 +434,7 @@ def _classes(n: int) -> tuple[Tournament, ...]:
     reps: dict[CanonicalForm, None] = {}
     for T in _classes(n - 1):
         for pattern in range(1 << (n - 1)):
-            reps.setdefault(canonical_form(_extend(T, pattern)))
+            reps.setdefault(canonical_form(add_vertex(T, pattern)))
     return tuple(key.tournament() for key in sorted(reps))
 
 

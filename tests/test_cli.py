@@ -7,7 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from tourney_codes import Embedding
+from tourney_codes import (Embedding, InternalConsistencyError, analyze, classify_code,
+                           d_optimal_block, delete_vertex, dominated_extension,
+                           paley_tournament)
 from tourney_codes.cli import main
 
 
@@ -151,6 +153,44 @@ def test_bad_line_is_input_error(capsys):
     rc, _, err = run_cli(capsys, "analyze", "3:10")
     assert rc == 2
     assert "input error" in err and "line 1" in err
+
+
+@pytest.mark.parametrize("threads", [None, "2"])
+@pytest.mark.parametrize("command", ["analyze", "embed"])
+def test_batch_error_names_the_line(capsys, monkeypatch, command, threads):
+    if threads is not None:
+        monkeypatch.setenv("TOURNEY_CODES_THREADS", threads)
+    monkeypatch.setattr("sys.stdin", io.StringIO("3:101\n1:\n"))
+    rc, out, err = run_cli(capsys, command, "-")
+    assert rc == 2 and out == ""
+    assert err == ("input error: line 2: 1:: a single point has no angle set; "
+                   "n >= 2 required\n")
+
+
+def test_internal_error_names_the_line(capsys, monkeypatch):
+    def broken(T, tol):
+        raise InternalConsistencyError("routes disagree")
+
+    monkeypatch.setattr("tourney_codes.cli.analyze", broken)
+    monkeypatch.setattr("sys.stdin", io.StringIO("# header\n\n4:111010\n"))
+    rc, out, err = run_cli(capsys, "analyze", "-")
+    assert rc == 3 and out == ""
+    assert err == "internal consistency error: line 3: 4:111010: routes disagree\n"
+
+
+def test_analyze_matches_separate_library_calls(capsys, monkeypatch):
+    P7, P11 = paley_tournament(7), paley_tournament(11)
+    planted = {"DRT": P11, "SkewHadamard": dominated_extension(P7),
+               "DrtMinusVertex": delete_vertex(P11, 4), "BlockForm": d_optimal_block(P7, P7)}
+    text = "".join(T.line() + "\n" for T in planted.values())
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    rc, report, _ = run_json(capsys, "analyze", "-")
+    assert rc == 0
+    for (kind, T), res in zip(planted.items(), report["results"]):
+        want = {"line": T.line(), **analyze(T).to_json_dict(),
+                "tightness": classify_code(T).to_json_dict()}
+        assert res == json.loads(json.dumps(want))
+        assert res["tightness"]["certificate"]["kind"] == kind
 
 
 def test_missing_file_is_input_error(capsys):

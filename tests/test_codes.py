@@ -2,17 +2,21 @@
 counting tight configurations through the catalogs."""
 
 import collections
+import dataclasses
 import random
 
+import numpy as np
 import pytest
 
-from tourney_codes import (DrtParams, InputError, TightnessReport,
+from tourney_codes import (DrtParams, InputError, InternalConsistencyError,
+                           TightnessReport, TournamentMatrices, TypeVariant, analyze,
                            block_form_check, canonical_form, classify_code,
                            count_tight_codes, d_optimal_block, delete_vertex, drt_catalog,
-                           drt_minus_vertex_check, is_doubly_regular,
+                           drt_minus_vertex_check, dominated_extension, is_doubly_regular,
                            paley_tournament, parse_line, random_tournament,
                            relabel, rep_dimension,
                            skew_hadamard_check, verify_no_double_zero_spectrum)
+from tourney_codes.codes import _components
 
 ROTATIONAL5 = "5:1100110111"   # out-degree 2 everywhere, order not 3 mod 4
 
@@ -149,6 +153,82 @@ def test_classify_json_shape(block6):
     assert d["certificate"]["kind"] == "BlockForm"
     assert (d["certificate"]["k"], d["certificate"]["l"]) == (3, 2)
     assert d["certificate"]["partition"] == [[0, 1, 2], [3, 4, 5]]
+
+
+def _planted(paley7, paley11):
+    # one tournament of each certificate kind, at two sizes each
+    return [paley11, paley_tournament(19),
+            dominated_extension(paley7), dominated_extension(paley11),
+            delete_vertex(paley11, 4), delete_vertex(paley_tournament(19), 0),
+            d_optimal_block(paley7, paley7), d_optimal_block(paley11, paley11)]
+
+
+def test_shared_analysis_gives_the_same_verdicts(classes_by_order, paley7, paley11):
+    tournaments = [T for n in range(3, 7) for T in classes_by_order[n]]
+    for T in tournaments + _planted(paley7, paley11):
+        report = analyze(T)
+        M = report.matrices
+        assert classify_code(T, report=report) == classify_code(T)
+        assert is_doubly_regular(T, matrices=M) == is_doubly_regular(T)
+        assert skew_hadamard_check(T, matrices=M) == skew_hadamard_check(T)
+        if T.n % 2 == 0:
+            assert drt_minus_vertex_check(T, report=report) == drt_minus_vertex_check(T)
+            assert block_form_check(T, matrices=M) == block_form_check(T)
+
+
+def test_shared_analysis_is_still_cross_checked(deleted7, block6):
+    # A report whose type contradicts the structure must still be refused.
+    report = analyze(deleted7)
+    bent = dataclasses.replace(
+        report, type_class=dataclasses.replace(report.type_class, variant=TypeVariant.TYPE4))
+    with pytest.raises(InternalConsistencyError, match="disagree"):
+        drt_minus_vertex_check(deleted7, report=bent)
+    with pytest.raises(InternalConsistencyError):
+        classify_code(deleted7, report=bent)
+    report = analyze(block6)
+    bent = dataclasses.replace(report, spectrum=analyze(deleted7).spectrum)
+    with pytest.raises(InternalConsistencyError, match="block-form certificate"):
+        classify_code(block6, report=bent)
+
+
+def test_shared_analysis_must_belong_to_the_tournament(cycle3, paley7, block6):
+    with pytest.raises(InputError, match="different tournament"):
+        classify_code(paley7, report=analyze(cycle3))
+    with pytest.raises(InputError, match="different tournament"):
+        is_doubly_regular(paley7, matrices=TournamentMatrices(cycle3))
+    with pytest.raises(InputError, match="different tournament"):
+        block_form_check(block6, matrices=TournamentMatrices(paley7))
+
+
+def _components_by_search(mask):
+    """The per-vertex search, kept as the reference for _components."""
+    n = mask.shape[0]
+    seen = [False] * n
+    comps = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        queue = [start]
+        seen[start] = True
+        comp = []
+        while queue:
+            u = queue.pop()
+            comp.append(u)
+            for v in range(n):
+                if not seen[v] and mask[u, v]:
+                    seen[v] = True
+                    queue.append(v)
+        comps.append(sorted(comp))
+    return comps
+
+
+def test_components_match_search():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 5, 12, 30):
+        for density in (0.0, 0.05, 0.2, 0.6):
+            upper = np.triu(rng.random((n, n)) < density, 1)
+            mask = upper | upper.T
+            assert _components(mask) == _components_by_search(mask)
 
 
 def test_certificate_census_small_orders(classes_by_order):

@@ -200,6 +200,40 @@ def test_verify_embedding_flags_perturbation(paley7):
     assert 1e-4 < verdict.max_deviation < 1e-2
 
 
+def _max_deviation_by_pairs(emb, T):
+    """The scalar per-pair loop, kept as the reference for verify_embedding."""
+    X = np.asarray(emb.vectors, dtype=np.complex128)
+    inner = X.conj() @ X.T
+    deviation = float(np.abs(np.diag(inner).real - 1.0).max())
+    deviation = max(deviation, float(np.abs(np.diag(inner).imag).max()))
+    for u in range(T.n):
+        for v in range(u + 1, T.n):
+            want = emb.alpha if T.arc(u, v) else np.conj(emb.alpha)
+            deviation = max(deviation, abs(inner[u, v] - want))
+    return deviation
+
+
+def test_verify_embedding_deviation_is_bit_equal_to_pair_loop(classes_by_order, paley7):
+    rng = random.Random(31)
+    tournaments = [T for n in range(2, 6) for T in classes_by_order[n]]
+    tournaments += [paley7] + [random_tournament(n, rng) for n in (20, 20, 33)]
+    noise = np.random.default_rng(9)
+    for T in tournaments:
+        emb = embed(T)
+        for scale in (0.0, 1e-12, 1e-6, 1e-2):
+            shape = emb.vectors.shape
+            bent = Embedding(emb.dimension, emb.vectors + scale * (
+                noise.normal(size=shape) + 1j * noise.normal(size=shape)), emb.alpha)
+            got = verify_embedding(bent, T).max_deviation
+            assert got == _max_deviation_by_pairs(bent, T), (T.line(), scale)
+
+
+def test_embedding_carries_its_analysis(paley7):
+    emb = embed(paley7)
+    assert emb.report == analyze(paley7)
+    assert emb.report.matrices.tournament == paley7
+
+
 def test_verify_embedding_wrong_vertex_count(cycle3, paley7):
     with pytest.raises(InputError, match="vectors"):
         verify_embedding(embed(cycle3), paley7)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from tourney_codes import spectral
 from tourney_codes import (CharIdentityResult, InputError,
                            InternalConsistencyError, Tolerances,
                            char_identity_residual, eigensystem,
@@ -197,6 +198,16 @@ def test_clear_float_contradicting_exact_spectrum_raises(cycle3):
     wide = Tolerances(beta_exact_lo=0.0, beta_exact_hi=0.99)
     with pytest.raises(InternalConsistencyError, match="contradicts"):
         group_spectrum(w, V, exact_s2=3 * np.eye(3, dtype=int), tol=wide)
+
+
+def test_oversized_exact_polynomial_is_consistency_error(monkeypatch, paley7):
+    # Near n = 300 the exact coefficients leave floating range; that must
+    # surface as an internal consistency error, not an OverflowError.
+    monkeypatch.setattr(spectral, "_krylov_minimal_polynomial",
+                        lambda rows: [Fraction(10 ** 400), Fraction(1)])
+    wide = Tolerances(beta_exact_lo=0.0, beta_exact_hi=0.99)
+    with pytest.raises(InternalConsistencyError, match="floating range"):
+        spectrum_of(paley7, wide)
 
 
 def test_exact_integer_eigenvalue_paley(paley7):

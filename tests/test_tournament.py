@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from conftest import ORDER4_LINES
-from tourney_codes import (InputError, Tournament, adjacency, build,
-                           canonical_form, canonical_representative,
+from tourney_codes import (InputError, Tournament, TournamentMatrices, add_vertex,
+                           adjacency, build, canonical_form, canonical_representative,
                            d_optimal_block, delete_vertex, dominated_extension,
                            enumerate_tournaments, from_adjacency, paley_tournament,
                            parse_catalog, parse_line, random_tournament, relabel,
                            seidel_matrix, seidel_squared, switch, switching_class)
+from tourney_codes.tournament import pair_index
 
 # Adjacency matrices of the four order-4 classes, written out in full.
 ORDER4_MATRICES = [
@@ -83,6 +84,7 @@ def test_parse_catalog_skips_comments_and_blanks():
     lines = ["# a catalog", "", "3:101", "  ", "# more", "2:1"]
     out = parse_catalog(lines)
     assert [T.line() for T in out] == ["3:101", "2:1"]
+    assert parse_catalog(lines, numbered=True) == [(3, out[0]), (6, out[1])]
 
 
 def test_parse_catalog_reports_line_number():
@@ -115,6 +117,54 @@ def test_adjacency_axiom_random():
         A = adjacency(T)
         J = np.ones((T.n, T.n), dtype=np.int64)
         assert np.array_equal(A + A.T, J - np.eye(T.n, dtype=np.int64))
+
+
+def _adjacency_by_arcs(T):
+    """The per-arc definition of the adjacency matrix, kept as the reference."""
+    A = np.zeros((T.n, T.n), dtype=np.int64)
+    for u in range(T.n):
+        for v in range(u + 1, T.n):
+            if T.arc(u, v):
+                A[u, v] = 1
+            else:
+                A[v, u] = 1
+    return A
+
+
+def test_adjacency_matches_arc_definition(classes_by_order):
+    tournaments = [Tournament(1, 0)]
+    tournaments += [T for n in range(2, 8) for T in classes_by_order[n]]
+    rng = random.Random(2015)
+    for n in (1, 2, 3, 4, 8, 9, 17, 64, 100):
+        full = (1 << (n * (n - 1) // 2)) - 1
+        tournaments += [Tournament(n, 0), Tournament(n, full)]
+        tournaments += [random_tournament(n, rng) for _ in range(5)]
+    for T in tournaments:
+        A = adjacency(T)
+        assert A.dtype == np.int64
+        assert np.array_equal(A, _adjacency_by_arcs(T)), T.line()
+
+
+def test_out_degree_rejects_invalid_vertex(cycle3):
+    for v in (-1, 3):
+        with pytest.raises(InputError):
+            cycle3.out_degree(v)
+    assert Tournament(1, 0).out_degree(0) == 0
+
+
+def test_shared_matrices(cycle3, paley7):
+    M = TournamentMatrices(paley7)
+    assert M.adjacency is M.adjacency
+    assert np.array_equal(M.adjacency, adjacency(paley7))
+    assert np.array_equal(M.seidel_squared, seidel_squared(paley7))
+    with pytest.raises(ValueError):
+        M.adjacency[0, 1] = 0
+    with pytest.raises(ValueError):
+        M.seidel_squared[0, 0] = 0
+    assert TournamentMatrices.of(paley7, M) is M
+    assert TournamentMatrices.of(paley7).tournament == paley7
+    with pytest.raises(InputError, match="different tournament"):
+        TournamentMatrices.of(cycle3, M)
 
 
 def test_seidel_squared_three_cycle_direct_product(cycle3):
@@ -290,6 +340,41 @@ def test_switching_class_rejects_large_order():
     rng = random.Random(0)
     with pytest.raises(InputError):
         switching_class(random_tournament(13, rng))
+
+
+def _extend_by_arcs(T, in_pattern):
+    """The per-arc definition of add_vertex, kept as the reference."""
+    n = T.n + 1
+    bits = 0
+    for u in range(T.n):
+        for v in range(u + 1, T.n):
+            if T.arc(u, v):
+                bits |= 1 << pair_index(u, v, n)
+        if (in_pattern >> u) & 1:
+            bits |= 1 << pair_index(u, T.n, n)
+    return Tournament(n, bits)
+
+
+def test_add_vertex_matches_arc_definition(classes_by_order):
+    cases = [(Tournament(1, 0), p) for p in (0, 1)]
+    cases += [(T, p) for n in range(2, 6) for T in classes_by_order[n]
+              for p in range(1 << n)]
+    rng = random.Random(77)
+    for n in (8, 17, 40):
+        T = random_tournament(n, rng)
+        cases += [(T, 0), (T, (1 << n) - 1), (T, rng.getrandbits(n))]
+    for T, pattern in cases:
+        assert add_vertex(T, pattern) == _extend_by_arcs(T, pattern)
+
+
+def test_add_vertex_arcs(cycle3):
+    ext = add_vertex(cycle3, 0b101)
+    assert ext.n == 4
+    assert ext.arc(0, 3) and ext.arc(3, 1) and ext.arc(2, 3)
+    assert delete_vertex(ext, 3) == cycle3
+    for pattern in (-1, 8):
+        with pytest.raises(InputError):
+            add_vertex(cycle3, pattern)
 
 
 def test_dominated_extension_degrees(paley3):
