@@ -14,8 +14,8 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -104,9 +104,74 @@ def _report(command: str, digest: str, tol: Tolerances, results: list) -> dict:
     }
 
 
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if abs(x) == float("inf"):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+class _IndentedEncoder(json.JSONEncoder):
+    """The text of json.dumps(o, sort_keys=True, indent=2), built with str.join.
+
+    With an indent, json falls back from its C encoder to a slower
+    pure-Python one; this writes the same bytes faster.  Dict keys must
+    be strings, and circular references are not detected.  An (n, d)
+    complex128 array, the embed command's vectors, is written as the list
+    of n rows of {"im", "re"} objects it stands for, with one %-template
+    while every entry is finite.
+    """
+
+    def encode(self, o) -> str:
+        return self._encode(o, "\n")
+
+    def _encode(self, o, nl: str) -> str:
+        # nl: the newline and indentation that go before o's closing bracket
+        if isinstance(o, str):
+            return encode_basestring_ascii(o)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, float):
+            return _float_text(o)
+        inner = nl + "  "
+        if isinstance(o, (list, tuple)):
+            if not o:
+                return "[]"
+            items = [self._encode(v, inner) for v in o]
+            return "[" + inner + ("," + inner).join(items) + nl + "]"
+        if isinstance(o, dict):
+            if not o:
+                return "{}"
+            items = [encode_basestring_ascii(k) + ": " + self._encode(v, inner)
+                     for k, v in sorted(o.items())]
+            return "{" + inner + ("," + inner).join(items) + nl + "}"
+        if isinstance(o, np.ndarray) and o.dtype == np.complex128 and o.ndim == 2:
+            return self._complex_rows(o, nl)
+        return self._encode(self.default(o), nl)
+
+    def _complex_rows(self, X: np.ndarray, nl: str) -> str:
+        if not np.isfinite(X).all():
+            return self._encode([[{"im": z.imag, "re": z.real} for z in row]
+                                 for row in X.tolist()], nl)
+        n, d = X.shape
+        row_nl, entry_nl, key_nl = nl + "  ", nl + "    ", nl + "      "
+        entry = "{" + key_nl + '"im": %r,' + key_nl + '"re": %r' + entry_nl + "}"
+        row = "[" + entry_nl + ("," + entry_nl).join([entry] * d) + row_nl + "]" if d else "[]"
+        table = "[" + row_nl + ("," + row_nl).join([row] * n) + nl + "]" if n else "[]"
+        return table % tuple(np.stack([X.imag, X.real], -1).ravel().tolist())
+
+
 def _emit(report: dict, fmt: str, tsv_rows: list[list]) -> None:
     if fmt == "json":
-        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2, cls=_IndentedEncoder)
+                         + "\n")
     else:
         for row in tsv_rows:
             sys.stdout.write("\t".join(str(cell) for cell in row) + "\n")
@@ -126,6 +191,8 @@ def _map_lines(worker, entries: list[tuple[int, Tournament]], tol: Tolerances) -
     run = partial(_per_line, worker, tol)
     threads = _env_threads()
     if threads > 1 and len(entries) > 1:
+        # imported here: multiprocessing would add to every CLI start
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(run, entries))
     return [run(entry) for entry in entries]
@@ -147,8 +214,7 @@ def _embed_worker(T: Tournament, tol: Tolerances) -> dict:
     out = {"line": T.line()}
     out.update(report.to_json_dict())
     out["dimension"] = emb.dimension
-    out["vectors"] = [[{"re": float(z.real), "im": float(z.imag)} for z in row]
-                      for row in np.asarray(emb.vectors)]
+    out["vectors"] = np.asarray(emb.vectors, dtype=np.complex128)
     out["max_deviation"] = float(verdict.max_deviation)
     out["check_passed"] = bool(verdict.passed)
     return out
@@ -346,7 +412,7 @@ def _check_embed_all(n_max: int, tol: Tolerances) -> tuple[bool, str]:
             emb = embed(T, tol)
             verdict = verify_embedding(emb, T)
             worst = max(worst, verdict.max_deviation)
-            if not verdict.passed or emb.dimension != analyze(T, tol).rep_dim:
+            if not verdict.passed or emb.dimension != emb.report.rep_dim:
                 return False, f"embedding failed for {T.line()}"
     return True, f"all embeddings verified, worst deviation {worst:.3e}"
 

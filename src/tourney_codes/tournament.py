@@ -138,7 +138,8 @@ def from_adjacency(matrix) -> Tournament:
 
 
 @lru_cache(maxsize=32)
-def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+def upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only row and column indices of the pairs u < v, in bit order."""
     # np.triu_indices walks the pairs in row-major order, the bit order.
     rows, cols = np.triu_indices(n, 1)
     rows.flags.writeable = False
@@ -151,7 +152,7 @@ def adjacency(T: Tournament) -> np.ndarray:
     raw = T.bits.to_bytes((T.num_pairs + 7) // 8, "little")
     upper = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=T.num_pairs,
                           bitorder="little").astype(np.int64)
-    rows, cols = _upper_pairs(T.n)
+    rows, cols = upper_pairs(T.n)
     A = np.zeros((T.n, T.n), dtype=np.int64)
     A[rows, cols] = upper
     A[cols, rows] = 1 - upper

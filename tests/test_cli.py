@@ -1,16 +1,24 @@
 """Command line behaviour: envelopes, formats, exit codes, determinism."""
 
+import hashlib
 import io
 import json
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tourney_codes import (Embedding, InternalConsistencyError, analyze, classify_code,
-                           d_optimal_block, delete_vertex, dominated_extension,
-                           paley_tournament)
-from tourney_codes.cli import main
+import tourney_codes
+from tourney_codes import (DEFAULT_TOLERANCES, Embedding, InternalConsistencyError,
+                           TypeVariant, analyze, classify_code, d_optimal_block,
+                           delete_vertex, dominated_extension, embed, paley_tournament,
+                           parse_line, verify_embedding)
+from tourney_codes.cli import ORDER4_LINES, _check_embed_all, _IndentedEncoder, main
 
 
 def run_cli(capsys, *argv):
@@ -242,3 +250,125 @@ def test_verify_paper_fails_under_absurd_tolerance(capsys):
                              "--beta-tol", "1e-20")
     assert rc == 1
     assert report["all_pass"] is False
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    src = str(Path(tourney_codes.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, tourney_codes.cli; "
+            "print('concurrent.futures.process' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out == "False\n"
+
+
+def test_embed_all_uses_the_embedding_analysis(monkeypatch):
+    def refuse(T, tol):
+        raise AssertionError("analyze called again")
+
+    monkeypatch.setattr("tourney_codes.cli.analyze", refuse)
+    ok, detail = _check_embed_all(5, DEFAULT_TOLERANCES)
+    assert ok, detail
+
+
+# ----------------------------------------------------------- JSON encoding
+
+
+def indented(obj):
+    return json.dumps(obj, sort_keys=True, indent=2, cls=_IndentedEncoder)
+
+
+STRINGS = ("", "plain", "caf\u00e9 \u00fc", "\x00\x1f\"\\/\n\t\x7f",
+           "\u2028\u2603 \U0001d11e", "\ud800 lone surrogate")
+FLOATS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, 0.1, -2.5, 1e16)
+
+
+def random_value(rng: random.Random, depth: int = 0):
+    kind = rng.randrange(11 if depth < 4 else 7)
+    if kind == 0:
+        return rng.choice(STRINGS) + "".join(chr(rng.randrange(0x20, 0x300))
+                                             for _ in range(rng.randrange(4)))
+    if kind == 1:
+        return rng.choice((None, True, False))
+    if kind == 2:
+        return rng.choice((0, -1, 7, rng.randrange(-10 ** 30, 10 ** 30)))
+    if kind == 3:
+        return rng.choice(FLOATS + (rng.uniform(-1e6, 1e6), rng.gauss(0.0, 1e-9)))
+    if kind == 4:
+        return rng.choice(list(TypeVariant))
+    if kind == 5:
+        return np.float64(rng.choice(FLOATS + (rng.uniform(-1.0, 1.0),)))
+    if kind == 6:
+        return rng.choice(([], {}, ()))
+    items = [random_value(rng, depth + 1) for _ in range(rng.randrange(5))]
+    if kind == 7:
+        return items
+    if kind == 8:
+        return tuple(items)
+    return {rng.choice(STRINGS) + str(k): v for k, v in enumerate(items)}
+
+
+def test_encoder_matches_json_on_random_values():
+    rng = random.Random(20261018)
+    for _ in range(400):
+        obj = {"results": [random_value(rng) for _ in range(rng.randrange(4))],
+               "value": random_value(rng)}
+        assert indented(obj) == json.dumps(obj, sort_keys=True, indent=2)
+    for scalar in (True, False, None, 1, 2.5, math.nan, "x", TypeVariant.TYPE2, [], {}):
+        assert indented(scalar) == json.dumps(scalar, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [object(), {1, 2}, np.int64(3), np.zeros(3),
+                                   np.zeros((2, 2), dtype=np.complex64)])
+def test_encoder_rejects_what_json_rejects(value):
+    with pytest.raises(TypeError):
+        json.dumps({"a": [value]}, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        indented({"a": [value]})
+
+
+def old_vectors(X):
+    return [[{"re": float(z.real), "im": float(z.imag)} for z in row] for row in X]
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0), (1, 1), (4, 1), (5, 3)])
+def test_complex_rows_match_the_list_of_dicts_form(shape):
+    rng = np.random.default_rng(sum(shape))
+    X = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    arrays = [X, -np.zeros(shape, dtype=np.complex128)]
+    if X.size:
+        bad = X.copy()
+        bad.flat[-1] = complex(math.nan, -math.inf)
+        arrays.append(bad)
+    for A in arrays:
+        got = indented({"results": [{"line": "x", "vectors": A}]})
+        assert got == json.dumps({"results": [{"line": "x", "vectors": old_vectors(A)}]},
+                                 sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("threads", [None, "2"])
+def test_embed_output_matches_the_dict_form(capsys, monkeypatch, threads):
+    if threads is not None:
+        monkeypatch.setenv("TOURNEY_CODES_THREADS", threads)
+    P7, P11 = paley_tournament(7), paley_tournament(11)
+    tournaments = [parse_line(line) for line in ORDER4_LINES]
+    tournaments += [P11, dominated_extension(P7), delete_vertex(P11, 4),
+                    d_optimal_block(P7, P7)]
+    text = "".join(T.line() + "\n" for T in tournaments)
+    results = []
+    for T in tournaments:
+        emb = embed(T)
+        verdict = verify_embedding(emb, T)
+        results.append({"line": T.line(), **emb.report.to_json_dict(),
+                        "dimension": emb.dimension, "vectors": old_vectors(emb.vectors),
+                        "max_deviation": verdict.max_deviation,
+                        "check_passed": verdict.passed})
+    want = {"command": "embed", "version": tourney_codes.__version__,
+            "inputs_digest": hashlib.sha256(text.encode()).hexdigest(),
+            "tolerances": {"eig_tol": DEFAULT_TOLERANCES.cluster_gap_factor,
+                           "beta_tol": DEFAULT_TOLERANCES.beta_zero},
+            "results": results}
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    rc, out, _ = run_cli(capsys, "embed", "-")
+    assert rc == 0
+    assert out == json.dumps(want, sort_keys=True, indent=2) + "\n"
