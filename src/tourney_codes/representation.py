@@ -21,7 +21,7 @@ from .errors import InputError, InternalConsistencyError
 from .spectral import (DEFAULT_TOLERANCES, Spectrum, Tolerances, eigensystem,
                        exact_integer_eigenvalue, exact_ones_resolvent,
                        seidel_matrix, spectrum_of)
-from .tournament import Tournament, TournamentMatrices, adjacency, upper_pairs
+from .tournament import Tournament, TournamentMatrices, adjacency, pair_bits, upper_pairs
 
 GRAM_PSD_FLOOR = 1e-8      # scaled by n
 GRAM_RANK_CUT = 1e-7       # scaled by the largest Gram eigenvalue
@@ -219,16 +219,14 @@ def optimal_alpha(T: Tournament, tol: Tolerances = DEFAULT_TOLERANCES) -> comple
     return analyze(T, tol).alpha
 
 
-def gram_matrix(T: Tournament, alpha: complex, expected_rank: int | None = None, *,
-                matrices: TournamentMatrices | None = None) -> np.ndarray:
+def gram_matrix(T: Tournament, alpha: complex, expected_rank: int | None = None) -> np.ndarray:
     """G = I + alpha A + conj(alpha) A^T.
 
     With expected_rank given, G is verified positive semidefinite with
     exactly n - expected_rank eigenvalues below the rank cutoff; any
-    disagreement raises InternalConsistencyError.  matrices, when given,
-    must be T's shared matrices.
+    disagreement raises InternalConsistencyError.
     """
-    A = TournamentMatrices.of(T, matrices).adjacency
+    A = adjacency(T)
     G = np.eye(T.n, dtype=np.complex128) + alpha * A + np.conj(alpha) * A.T
     if expected_rank is not None:
         w = np.linalg.eigvalsh(G)
@@ -250,7 +248,7 @@ def embed(T: Tournament, tol: Tolerances = DEFAULT_TOLERANCES) -> Embedding:
     eigendecomposition; the embedding is verified before being returned.
     """
     report = analyze(T, tol)
-    G = gram_matrix(T, report.alpha, expected_rank=report.rep_dim, matrices=report.matrices)
+    G = gram_matrix(T, report.alpha, expected_rank=report.rep_dim)
     w, U = np.linalg.eigh(G)
     cutoff = GRAM_RANK_CUT * max(float(w[-1]), GRAM_RANK_CUT)
     keep = w >= cutoff
@@ -267,8 +265,7 @@ def verify_embedding(emb: Embedding, T: Tournament, tol: float = EMBED_TOL) -> E
     """Check unit norms and that every arc u -> v has <u, v> = alpha.
 
     The inner product is conjugate-linear in the first argument.  Returns
-    the worst deviation over norms and angles.  A comes from the
-    embedding's report when its matrices belong to T.
+    the worst deviation over norms and angles.
     """
     X = np.asarray(emb.vectors, dtype=np.complex128)
     if X.ndim != 2 or X.shape[0] != T.n:
@@ -279,9 +276,7 @@ def verify_embedding(emb: Embedding, T: Tournament, tol: float = EMBED_TOL) -> E
     deviation = max(deviation, float(np.abs(np.diag(inner).imag).max()))
     if T.n > 1:
         rows, cols = upper_pairs(T.n)
-        given = emb.report.matrices if emb.report is not None else None
-        A = given.adjacency if given is not None and given.tournament == T else adjacency(T)
-        arcs = A[rows, cols] == 1
+        arcs = pair_bits(T) == 1
         d = inner[rows, cols] - np.where(arcs, emb.alpha, np.conj(emb.alpha))
         # hypot rounds exactly as the scalar abs() of one complex value does;
         # np.abs on an array can differ from it in the last bit.

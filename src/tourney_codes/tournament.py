@@ -147,11 +147,16 @@ def upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
+def pair_bits(T: Tournament) -> np.ndarray:
+    """0/1 array of the arc bits, in bit order: 1 iff u -> v for the pair u < v."""
+    raw = T.bits.to_bytes((T.num_pairs + 7) // 8, "little")
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=T.num_pairs,
+                         bitorder="little")
+
+
 def adjacency(T: Tournament) -> np.ndarray:
     """0/1 adjacency matrix, A[u][v] = 1 iff the arc u -> v is present."""
-    raw = T.bits.to_bytes((T.num_pairs + 7) // 8, "little")
-    upper = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=T.num_pairs,
-                          bitorder="little").astype(np.int64)
+    upper = pair_bits(T).astype(np.int64)
     rows, cols = upper_pairs(T.n)
     A = np.zeros((T.n, T.n), dtype=np.int64)
     A[rows, cols] = upper

@@ -158,14 +158,6 @@ def test_gram_eigenvalues_block(block6):
     assert np.linalg.eigvalsh(G) == pytest.approx([0, 0, 0, 1.5, 1.5, 3], abs=1e-9)
 
 
-def test_gram_matrix_takes_shared_matrices(cycle3, paley7):
-    report = analyze(paley7)
-    shared = gram_matrix(paley7, report.alpha, report.rep_dim, matrices=report.matrices)
-    assert np.array_equal(shared, gram_matrix(paley7, report.alpha, report.rep_dim))
-    with pytest.raises(InputError, match="different tournament"):
-        gram_matrix(cycle3, report.alpha, matrices=report.matrices)
-
-
 def test_gram_rank_mismatch_raises(cycle3):
     with pytest.raises(InternalConsistencyError, match="rank"):
         gram_matrix(cycle3, optimal_alpha(cycle3), expected_rank=2)
@@ -243,7 +235,8 @@ def test_embedding_carries_its_analysis(paley7):
     assert emb.report.matrices.tournament == paley7
 
 
-def test_embed_and_verify_build_the_adjacency_matrix_once(monkeypatch, paley7):
+def test_verify_embedding_builds_no_adjacency_matrix(monkeypatch, paley7):
+    emb = embed(paley7)
     calls = []
     real = tournament.adjacency
 
@@ -254,22 +247,8 @@ def test_embed_and_verify_build_the_adjacency_matrix_once(monkeypatch, paley7):
     for module in (tournament, spectral, representation, codes):
         if vars(module).get("adjacency") is real:
             monkeypatch.setattr(module, "adjacency", counted)
-    emb = embed(paley7)
     assert verify_embedding(emb, paley7).passed
-    assert calls == [paley7]
-
-
-def test_verify_embedding_ignores_the_matrices_of_another_tournament():
-    T = parse_line("4:111010")
-    emb = embed(T)
-    flipped = emb.vectors.copy()
-    flipped[2] = -flipped[2]
-    with_report = Embedding(emb.dimension, flipped, emb.alpha, emb.report)
-    switched = switch(T, [2])
-    verdict = verify_embedding(with_report, switched)
-    assert verdict.passed
-    assert verdict == verify_embedding(Embedding(emb.dimension, flipped, emb.alpha), switched)
-    assert not verify_embedding(with_report, T).passed
+    assert calls == []
 
 
 def test_verify_embedding_wrong_vertex_count(cycle3, paley7):
