@@ -21,11 +21,11 @@ from .spectral import (DEFAULT_TOLERANCES, CharIdentityResult, InterlacingVerdic
                        char_identity_residual, eigensystem, exact_integer_eigenvalue,
                        exact_ones_resolvent, group_spectrum, seidel_matrix,
                        shifted_main_spectrum, spectrum_of)
-from .tournament import (CanonicalForm, Tournament, TournamentMatrices, add_vertex,
-                         adjacency, build, canonical_form, canonical_representative,
-                         d_optimal_block, delete_vertex, dominated_extension,
-                         enumerate_tournaments, from_adjacency, parse_catalog,
-                         parse_line, paley_tournament, random_tournament,
-                         relabel, seidel_squared, switch, switching_class)
+from .tournament import (CanonicalForm, Tournament, add_vertex, adjacency, build,
+                         canonical_form, canonical_representative, d_optimal_block,
+                         delete_vertex, dominated_extension, enumerate_tournaments,
+                         from_adjacency, parse_catalog, parse_line, paley_tournament,
+                         random_tournament, relabel, seidel_squared, switch,
+                         switching_class)
 
 __version__ = "0.1.0"

@@ -14,7 +14,6 @@ import json
 import os
 import random
 import sys
-from functools import partial
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -51,17 +50,6 @@ def _env_float(name: str, fallback: float) -> float:
         return float(raw)
     except ValueError:
         raise InputError(f"environment variable {name} must be a number, got {raw!r}")
-
-
-def _env_threads() -> int:
-    raw = os.environ.get("TOURNEY_CODES_THREADS")
-    if raw is None:
-        return 1
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise InputError(f"TOURNEY_CODES_THREADS must be an integer, got {raw!r}")
-    return max(1, threads)
 
 
 def _tolerances(args: argparse.Namespace) -> Tolerances:
@@ -177,25 +165,16 @@ def _emit(report: dict, fmt: str, tsv_rows: list[list]) -> None:
             sys.stdout.write("\t".join(str(cell) for cell in row) + "\n")
 
 
-def _per_line(worker, tol: Tolerances, entry: tuple[int, Tournament]) -> dict:
-    # Errors name the input line; the exception type keeps the exit code.
-    k, T = entry
-    try:
-        return worker(T, tol)
-    except (InputError, InternalConsistencyError) as exc:
-        raise type(exc)(f"line {k}: {T.line()}: {exc}") from None
-
-
 def _map_lines(worker, entries: list[tuple[int, Tournament]], tol: Tolerances) -> list:
     """worker(T, tol) for every numbered entry, in input order."""
-    run = partial(_per_line, worker, tol)
-    threads = _env_threads()
-    if threads > 1 and len(entries) > 1:
-        # imported here: multiprocessing would add to every CLI start
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, entries))
-    return [run(entry) for entry in entries]
+    results = []
+    for k, T in entries:
+        try:
+            results.append(worker(T, tol))
+        except (InputError, InternalConsistencyError) as exc:
+            # Errors name the input line; the exception type keeps the exit code.
+            raise type(exc)(f"line {k}: {T.line()}: {exc}") from None
+    return results
 
 
 def _analyze_worker(T: Tournament, tol: Tolerances) -> dict:

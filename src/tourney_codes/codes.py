@@ -18,11 +18,11 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError, InternalConsistencyError
-from .representation import RepReport, TypeVariant, analyze, classify_type
+from .representation import RepReport, TypeVariant, analyze
 from .spectral import DEFAULT_TOLERANCES, Tolerances, spectrum_of
-from .tournament import (Tournament, TournamentMatrices, add_vertex, canonical_form,
+from .tournament import (Tournament, add_vertex, adjacency, canonical_form,
                          dominated_extension, enumerate_tournaments, parse_catalog,
-                         paley_tournament, switching_class)
+                         paley_tournament, seidel_squared, switching_class)
 
 log = logging.getLogger(__name__)
 
@@ -75,17 +75,15 @@ class TightnessReport:
         }
 
 
-def is_doubly_regular(T: Tournament, *,
-                      matrices: TournamentMatrices | None = None) -> DrtParams | None:
+def is_doubly_regular(T: Tournament) -> DrtParams | None:
     """Parameters of a doubly regular tournament, or None.
 
     Doubly regular means every vertex has the same out-degree and every
     ordered vertex pair has the same number of common out-neighbors.
-    matrices, when given, must be T's shared matrices.
     """
     if T.n < 3:
         return None
-    A = TournamentMatrices.of(T, matrices).adjacency
+    A = adjacency(T)
     degrees = A.sum(axis=1)
     if not np.all(degrees == degrees[0]):
         return None
@@ -103,13 +101,9 @@ def is_doubly_regular(T: Tournament, *,
     return DrtParams(T.n, k, lam)
 
 
-def skew_hadamard_check(T: Tournament, *,
-                        matrices: TournamentMatrices | None = None) -> bool:
-    """True iff H = I + A - A^T satisfies H H^T = nI (and H + H^T = 2I).
-
-    matrices, when given, must be T's shared matrices.
-    """
-    A = TournamentMatrices.of(T, matrices).adjacency
+def skew_hadamard_check(T: Tournament) -> bool:
+    """True iff H = I + A - A^T satisfies H H^T = nI (and H + H^T = 2I)."""
+    A = adjacency(T)
     H = np.eye(T.n, dtype=np.int64) + A - A.T
     return bool(np.array_equal(H @ H.T, T.n * np.eye(T.n, dtype=np.int64)))
 
@@ -133,19 +127,16 @@ def _components(mask: np.ndarray) -> list[list[int]]:
     return comps
 
 
-def block_form_check(T: Tournament, *,
-                     matrices: TournamentMatrices | None = None) -> BlockFormCert | None:
+def block_form_check(T: Tournament) -> BlockFormCert | None:
     """Certificate that S^2 = diag(kI + lJ, kI + lJ) with k, l > 0, or None.
 
     The two diagonal blocks must cover n/2 vertices each and share the
     same off-diagonal value l; k = n - 1 - l follows from the diagonal.
-    matrices, when given, must be T's shared matrices.
     """
     if T.n % 2:
         raise InputError(f"block form check needs an even vertex count, got n={T.n}")
     n = T.n
-    matrices = TournamentMatrices.of(T, matrices)
-    S2 = matrices.seidel_squared
+    S2 = seidel_squared(T)
     offdiag = ~np.eye(n, dtype=bool)
     support = (S2 != 0) & offdiag
     if not support.any():
@@ -177,20 +168,21 @@ def block_form_check(T: Tournament, *,
     if d % 2 == 0:
         raise InternalConsistencyError(
             f"block form found with even half size {d}")
+    A = adjacency(T)
     for comp in (first, second):
-        degrees = set(matrices.adjacency[np.ix_(comp, comp)].sum(axis=1).tolist())
+        degrees = set(A[np.ix_(comp, comp)].sum(axis=1).tolist())
         if degrees != {(d - 1) // 2}:
             raise InternalConsistencyError(
                 f"block {comp} does not induce a regular subtournament")
     return BlockFormCert(k, l, (tuple(first), tuple(second)))
 
 
-def _forced_extension(T: Tournament, matrices: TournamentMatrices) -> Tournament | None:
+def _forced_extension(T: Tournament) -> Tournament | None:
     # In a doubly regular tournament of order n + 1 every out-degree is
     # n/2, so the orientation of each arc at the new vertex is forced.
     target = T.n // 2
     pattern = 0
-    for v, deg in enumerate(matrices.adjacency.sum(axis=1).tolist()):
+    for v, deg in enumerate(adjacency(T).sum(axis=1).tolist()):
         if deg == target - 1:
             pattern |= 1 << v
         elif deg != target:
@@ -198,11 +190,9 @@ def _forced_extension(T: Tournament, matrices: TournamentMatrices) -> Tournament
     return add_vertex(T, pattern)
 
 
-def _deleted_drt_spectrum(T: Tournament, tol: Tolerances, report: RepReport | None,
-                          matrices: TournamentMatrices) -> bool:
+def _deleted_drt_spectrum(T: Tournament, report: RepReport) -> bool:
     d = T.n // 2
-    spectrum = spectrum_of(T, tol, matrices=matrices) if report is None else report.spectrum
-    lines = spectrum.lines
+    lines = report.spectrum.lines
     if len(lines) != 4:
         return False
     if [l.mult for l in lines] != [d - 1, 1, 1, d - 1]:
@@ -211,9 +201,7 @@ def _deleted_drt_spectrum(T: Tournament, tol: Tolerances, report: RepReport | No
     phi_sq = lines[2].tau ** 2
     if abs(theta_sq - (T.n + 1)) > 1e-6 * (T.n + 1) or abs(phi_sq - 1.0) > 1e-6:
         return False
-    if report is not None:
-        return report.type_class.variant is TypeVariant.TYPE1
-    return classify_type(spectrum, exact_s2=matrices.seidel_squared).variant is TypeVariant.TYPE1
+    return report.type_class.variant is TypeVariant.TYPE1
 
 
 def drt_minus_vertex_check(T: Tournament, tol: Tolerances = DEFAULT_TOLERANCES, *,
@@ -224,23 +212,28 @@ def drt_minus_vertex_check(T: Tournament, tol: Tolerances = DEFAULT_TOLERANCES, 
     n >= 6 the equivalent spectral signature (eigenvalues -theta, -1, 1,
     theta with theta^2 = n + 1, multiplicities d-1, 1, 1, d-1, and a zero
     bottom main angle) is evaluated as well; the two routes must agree.
-    report, when given, must be analyze(T, tol); its spectrum, type and
-    matrices are then used instead of being computed again.
+    report, when given, must be analyze(T, tol); its spectrum and type
+    are then used instead of a second analysis.
     """
     if T.n % 2:
         raise InputError(f"deleted-vertex check needs an even vertex count, got n={T.n}")
+    _check_report(T, report)
     if (T.n + 1) % 4 != 3:
         return False
-    matrices = TournamentMatrices.of(T, None if report is None else report.matrices)
-    ext = _forced_extension(T, matrices)
+    ext = _forced_extension(T)
     ext_ok = ext is not None and is_doubly_regular(ext) is not None
     if T.n >= 6:
-        spectral_ok = _deleted_drt_spectrum(T, tol, report, matrices)
+        spectral_ok = _deleted_drt_spectrum(T, analyze(T, tol) if report is None else report)
         if spectral_ok != ext_ok:
             raise InternalConsistencyError(
                 "spectral signature and forced-extension search disagree on "
                 f"the deleted-vertex check for n={T.n}")
     return ext_ok
+
+
+def _check_report(T: Tournament, report: RepReport | None) -> None:
+    if report is not None and report.tournament is not None and report.tournament != T:
+        raise InputError("the shared analysis belongs to a different tournament")
 
 
 def _expect_shape(report: RepReport, mults: list[int], variant: TypeVariant,
@@ -266,9 +259,9 @@ def classify_code(T: Tournament, tol: Tolerances = DEFAULT_TOLERANCES, *,
     """
     if T.n < 3:
         raise InputError(f"tightness classification needs n >= 3, got n={T.n}")
+    _check_report(T, report)
     if report is None:
         report = analyze(T, tol)
-    matrices = TournamentMatrices.of(T, report.matrices)
     d = report.rep_dim
     n = T.n
     bound = 2 * d + 1 if d % 2 else 2 * d
@@ -277,20 +270,20 @@ def classify_code(T: Tournament, tol: Tolerances = DEFAULT_TOLERANCES, *,
     drt = None
     block = None
     if is_tight and d % 2:
-        drt = is_doubly_regular(T, matrices=matrices)
+        drt = is_doubly_regular(T)
         if drt is None:
             raise InternalConsistencyError(
                 f"tight code in odd dimension {d} without double regularity")
         kind = "DRT"
     elif is_tight:
-        if not skew_hadamard_check(T, matrices=matrices):
+        if not skew_hadamard_check(T):
             raise InternalConsistencyError(
                 f"tight code in even dimension {d} without a skew Hadamard matrix")
         kind = "SkewHadamard"
         _expect_shape(report, [d, d], TypeVariant.TYPE2, "tight even dimension")
     elif n == 2 * d and d % 2:
         deleted = drt_minus_vertex_check(T, tol, report=report)
-        block = block_form_check(T, matrices=matrices)
+        block = block_form_check(T)
         if deleted == (block is not None):
             raise InternalConsistencyError(
                 f"n = 2d with odd d = {d}: exactly one of the deleted-vertex and "

@@ -19,9 +19,9 @@ import numpy as np
 
 from .errors import InputError, InternalConsistencyError
 from .spectral import (DEFAULT_TOLERANCES, Spectrum, Tolerances, eigensystem,
-                       exact_integer_eigenvalue, exact_ones_resolvent,
-                       seidel_matrix, spectrum_of)
-from .tournament import Tournament, TournamentMatrices, adjacency, pair_bits, upper_pairs
+                       exact_integer_eigenvalue, exact_ones_resolvent, group_spectrum,
+                       seidel_matrix)
+from .tournament import Tournament, adjacency, pair_bits, seidel_squared, upper_pairs
 
 GRAM_PSD_FLOOR = 1e-8      # scaled by n
 GRAM_RANK_CUT = 1e-7       # scaled by the largest Gram eigenvalue
@@ -58,14 +58,14 @@ class TypeClass:
 
 @dataclass(frozen=True)
 class RepReport:
-    """What analyze finds; matrices are the tournament's shared matrices."""
+    """What analyze finds; tournament is the tournament it was found for."""
 
     n: int
     type_class: TypeClass
     rep_dim: int
     alpha: complex
     spectrum: Spectrum
-    matrices: TournamentMatrices | None = field(default=None, compare=False, repr=False)
+    tournament: Tournament | None = field(default=None, compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -197,9 +197,10 @@ def analyze(T: Tournament, tol: Tolerances = DEFAULT_TOLERANCES) -> RepReport:
     """Type, minimum embedding dimension, and optimal angle of a tournament."""
     if T.n < 2:
         raise InputError("a single point has no angle set; n >= 2 required")
-    matrices = TournamentMatrices(T)
-    spectrum = spectrum_of(T, tol, matrices=matrices)
-    tc = classify_type(spectrum, exact_s2=matrices.seidel_squared)
+    s2 = seidel_squared(T)
+    w, V = eigensystem(seidel_matrix(T))
+    spectrum = group_spectrum(w, V, exact_s2=s2, tol=tol)
+    tc = classify_type(spectrum, exact_s2=s2)
     rep = _rep_dim(T.n, tc)
     if not 1 <= rep <= T.n - 1:
         raise InternalConsistencyError(f"embedding dimension {rep} out of range for n={T.n}")
@@ -208,7 +209,7 @@ def analyze(T: Tournament, tol: Tolerances = DEFAULT_TOLERANCES) -> RepReport:
         raise InternalConsistencyError(
             f"optimal angle {alpha} is real; a two-value angle set needs a "
             "nonreal angle")
-    return RepReport(T.n, tc, rep, alpha, spectrum, matrices)
+    return RepReport(T.n, tc, rep, alpha, spectrum, T)
 
 
 def rep_dimension(T: Tournament, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
@@ -229,16 +230,24 @@ def gram_matrix(T: Tournament, alpha: complex, expected_rank: int | None = None)
     A = adjacency(T)
     G = np.eye(T.n, dtype=np.complex128) + alpha * A + np.conj(alpha) * A.T
     if expected_rank is not None:
-        w = np.linalg.eigvalsh(G)
-        if w[0] < -GRAM_PSD_FLOOR * T.n:
-            raise InternalConsistencyError(
-                f"Gram matrix has negative eigenvalue {w[0]:g} at the optimal angle")
-        cutoff = GRAM_RANK_CUT * max(float(w[-1]), GRAM_RANK_CUT)
-        zeros = int(np.count_nonzero(w < cutoff))
-        if zeros != T.n - expected_rank:
-            raise InternalConsistencyError(
-                f"Gram rank {T.n - zeros} disagrees with predicted dimension {expected_rank}")
+        _rank_cutoff(np.linalg.eigvalsh(G), expected_rank)
     return G
+
+
+def _rank_cutoff(w: np.ndarray, expected_rank: int) -> float:
+    # w: the ascending eigenvalues of a Gram matrix.  Returns the cutoff
+    # below which an eigenvalue counts as zero, after checking that the
+    # matrix is positive semidefinite with exactly expected_rank above it.
+    n = len(w)
+    if w[0] < -GRAM_PSD_FLOOR * n:
+        raise InternalConsistencyError(
+            f"Gram matrix has negative eigenvalue {w[0]:g} at the optimal angle")
+    cutoff = GRAM_RANK_CUT * max(float(w[-1]), GRAM_RANK_CUT)
+    zeros = int(np.count_nonzero(w < cutoff))
+    if zeros != n - expected_rank:
+        raise InternalConsistencyError(
+            f"Gram rank {n - zeros} disagrees with predicted dimension {expected_rank}")
+    return cutoff
 
 
 def embed(T: Tournament, tol: Tolerances = DEFAULT_TOLERANCES) -> Embedding:
@@ -248,12 +257,10 @@ def embed(T: Tournament, tol: Tolerances = DEFAULT_TOLERANCES) -> Embedding:
     eigendecomposition; the embedding is verified before being returned.
     """
     report = analyze(T, tol)
-    G = gram_matrix(T, report.alpha, expected_rank=report.rep_dim)
-    w, U = np.linalg.eigh(G)
-    cutoff = GRAM_RANK_CUT * max(float(w[-1]), GRAM_RANK_CUT)
-    keep = w >= cutoff
+    w, U = np.linalg.eigh(gram_matrix(T, report.alpha))
+    keep = w >= _rank_cutoff(w, report.rep_dim)
     vectors = U[:, keep].conj() * np.sqrt(w[keep])
-    emb = Embedding(int(keep.sum()), vectors, report.alpha, report)
+    emb = Embedding(report.rep_dim, vectors, report.alpha, report)
     verdict = verify_embedding(emb, T)
     if not verdict.passed:
         raise InternalConsistencyError(

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError, InternalConsistencyError
-from .tournament import Tournament, TournamentMatrices, adjacency
+from .tournament import Tournament, adjacency, seidel_squared
 
 log = logging.getLogger(__name__)
 
@@ -100,10 +100,7 @@ class Spectrum:
 
 def seidel_matrix(T: Tournament) -> np.ndarray:
     """Hermitian matrix sqrt(-1) (A - A^T); entry (u, v) is +i iff u -> v."""
-    return _seidel(adjacency(T))
-
-
-def _seidel(A: np.ndarray) -> np.ndarray:
+    A = adjacency(T)
     return 1j * (A - A.T).astype(np.complex128)
 
 
@@ -327,16 +324,10 @@ def group_spectrum(eigenvalues, eigenvectors, j_vector=None, *,
     return Spectrum(n, lines, gap_tol, tuple(warnings))
 
 
-def spectrum_of(T: Tournament, tol: Tolerances = DEFAULT_TOLERANCES, *,
-                matrices: TournamentMatrices | None = None) -> Spectrum:
-    """Grouped Seidel spectrum of a tournament, with the exact cross-check wired in.
-
-    matrices, when given, must be T's shared matrices; S and S^2 are then
-    taken from them instead of being rebuilt.
-    """
-    M = TournamentMatrices.of(T, matrices)
-    w, V = eigensystem(_seidel(M.adjacency))
-    return group_spectrum(w, V, exact_s2=M.seidel_squared, tol=tol)
+def spectrum_of(T: Tournament, tol: Tolerances = DEFAULT_TOLERANCES) -> Spectrum:
+    """Grouped Seidel spectrum of a tournament, with the exact cross-check wired in."""
+    w, V = eigensystem(seidel_matrix(T))
+    return group_spectrum(w, V, exact_s2=seidel_squared(T), tol=tol)
 
 
 @dataclass(frozen=True)

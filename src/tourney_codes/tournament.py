@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -164,45 +164,16 @@ def adjacency(T: Tournament) -> np.ndarray:
     return A
 
 
-@dataclass(frozen=True, eq=False)
-class TournamentMatrices:
-    """The integer matrices of one tournament, each built at most once.
-
-    The analysis passes one instance from layer to layer, so that A and
-    S^2 are not rebuilt for every check.  The arrays are read-only.
-    """
-
-    tournament: Tournament
-
-    @staticmethod
-    def of(T: Tournament, given: TournamentMatrices | None = None) -> TournamentMatrices:
-        """given, after checking that it belongs to T, or fresh matrices of T."""
-        if given is None:
-            return TournamentMatrices(T)
-        if given.tournament != T:
-            raise InputError("the shared matrices belong to a different tournament")
-        return given
-
-    @cached_property
-    def adjacency(self) -> np.ndarray:
-        A = adjacency(self.tournament)
-        A.flags.writeable = False
-        return A
-
-    @cached_property
-    def seidel_squared(self) -> np.ndarray:
-        K = self.adjacency - self.adjacency.T
-        S2 = -(K @ K)
-        S2.flags.writeable = False
-        return S2
-
-
 def seidel_squared(T: Tournament) -> np.ndarray:
     """Integer matrix -(A - A^T)^2, the square of the Seidel matrix.
 
     Symmetric, with every diagonal entry equal to n - 1.
     """
-    return np.array(TournamentMatrices(T).seidel_squared)
+    A = adjacency(T)
+    K = (A - A.T).astype(np.float64)
+    # The float product is exact: every entry of K is -1, 0 or 1, so each
+    # product and partial sum is an integer of size at most n.
+    return (-(K @ K)).astype(np.int64)
 
 
 def relabel(T: Tournament, perm: Sequence[int]) -> Tournament:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from tourney_codes import (DrtParams, InputError, InternalConsistencyError,
-                           TightnessReport, TournamentMatrices, TypeVariant, analyze,
+                           TightnessReport, TypeVariant, analyze,
                            block_form_check, canonical_form, classify_code,
                            count_tight_codes, d_optimal_block, delete_vertex, drt_catalog,
                            drt_minus_vertex_check, dominated_extension, is_doubly_regular,
@@ -167,13 +167,9 @@ def test_shared_analysis_gives_the_same_verdicts(classes_by_order, paley7, paley
     tournaments = [T for n in range(3, 7) for T in classes_by_order[n]]
     for T in tournaments + _planted(paley7, paley11):
         report = analyze(T)
-        M = report.matrices
         assert classify_code(T, report=report) == classify_code(T)
-        assert is_doubly_regular(T, matrices=M) == is_doubly_regular(T)
-        assert skew_hadamard_check(T, matrices=M) == skew_hadamard_check(T)
         if T.n % 2 == 0:
             assert drt_minus_vertex_check(T, report=report) == drt_minus_vertex_check(T)
-            assert block_form_check(T, matrices=M) == block_form_check(T)
 
 
 def test_shared_analysis_is_still_cross_checked(deleted7, block6):
@@ -191,13 +187,19 @@ def test_shared_analysis_is_still_cross_checked(deleted7, block6):
         classify_code(block6, report=bent)
 
 
-def test_shared_analysis_must_belong_to_the_tournament(cycle3, paley7, block6):
+def test_shared_analysis_must_belong_to_the_tournament(cycle3, paley7, block6, deleted7):
     with pytest.raises(InputError, match="different tournament"):
         classify_code(paley7, report=analyze(cycle3))
+    # Same order, different tournaments: the order alone must not pass.
+    other7 = parse_line("7:" + "1" * 21)
     with pytest.raises(InputError, match="different tournament"):
-        is_doubly_regular(paley7, matrices=TournamentMatrices(cycle3))
-    with pytest.raises(InputError, match="different tournament"):
-        block_form_check(block6, matrices=TournamentMatrices(paley7))
+        classify_code(paley7, report=analyze(other7))
+    for T, other in ((block6, deleted7), (deleted7, block6)):
+        assert T.n == other.n == 6
+        with pytest.raises(InputError, match="different tournament"):
+            classify_code(T, report=analyze(other))
+        with pytest.raises(InputError, match="different tournament"):
+            drt_minus_vertex_check(T, report=analyze(other))
 
 
 def _components_by_search(mask):

@@ -232,7 +232,7 @@ def test_verify_embedding_deviation_is_bit_equal_to_pair_loop(classes_by_order, 
 def test_embedding_carries_its_analysis(paley7):
     emb = embed(paley7)
     assert emb.report == analyze(paley7)
-    assert emb.report.matrices.tournament == paley7
+    assert emb.report.tournament == paley7
 
 
 def test_verify_embedding_builds_no_adjacency_matrix(monkeypatch, paley7):
@@ -249,6 +249,16 @@ def test_verify_embedding_builds_no_adjacency_matrix(monkeypatch, paley7):
             monkeypatch.setattr(module, "adjacency", counted)
     assert verify_embedding(emb, paley7).passed
     assert calls == []
+
+
+def test_embed_factors_the_gram_matrix_once(monkeypatch, paley7, block6):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for T in (paley7, block6, parse_line("4:111010")):
+        emb = embed(T)
+        assert emb.dimension == emb.vectors.shape[1] == emb.report.rep_dim
 
 
 def test_verify_embedding_wrong_vertex_count(cycle3, paley7):

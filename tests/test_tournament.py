@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from conftest import ORDER4_LINES
-from tourney_codes import (InputError, Tournament, TournamentMatrices, add_vertex,
-                           adjacency, build, canonical_form, canonical_representative,
-                           d_optimal_block, delete_vertex, dominated_extension,
-                           enumerate_tournaments, from_adjacency, paley_tournament,
-                           parse_catalog, parse_line, random_tournament, relabel,
-                           seidel_matrix, seidel_squared, switch, switching_class)
+from tourney_codes import (InputError, Tournament, add_vertex, adjacency, build,
+                           canonical_form, canonical_representative, d_optimal_block,
+                           delete_vertex, dominated_extension, enumerate_tournaments,
+                           from_adjacency, paley_tournament, parse_catalog, parse_line,
+                           random_tournament, relabel, seidel_matrix, seidel_squared,
+                           switch, switching_class)
 from tourney_codes.tournament import pair_index
 
 # Adjacency matrices of the four order-4 classes, written out in full.
@@ -152,21 +152,6 @@ def test_out_degree_rejects_invalid_vertex(cycle3):
     assert Tournament(1, 0).out_degree(0) == 0
 
 
-def test_shared_matrices(cycle3, paley7):
-    M = TournamentMatrices(paley7)
-    assert M.adjacency is M.adjacency
-    assert np.array_equal(M.adjacency, adjacency(paley7))
-    assert np.array_equal(M.seidel_squared, seidel_squared(paley7))
-    with pytest.raises(ValueError):
-        M.adjacency[0, 1] = 0
-    with pytest.raises(ValueError):
-        M.seidel_squared[0, 0] = 0
-    assert TournamentMatrices.of(paley7, M) is M
-    assert TournamentMatrices.of(paley7).tournament == paley7
-    with pytest.raises(InputError, match="different tournament"):
-        TournamentMatrices.of(cycle3, M)
-
-
 def test_seidel_squared_three_cycle_direct_product(cycle3):
     """S^2 of the 3-cycle equals the explicit product -(A - A^T)^2."""
     A = adjacency(cycle3)
@@ -188,9 +173,14 @@ def test_seidel_squared_two_vertices(two_vertex):
 
 def test_seidel_squared_shape_random():
     rng = random.Random(11)
-    for _ in range(20):
-        T = random_tournament(rng.randint(2, 10), rng)
+    tournaments = [random_tournament(rng.randint(2, 10), rng) for _ in range(20)]
+    tournaments += [random_tournament(n, rng) for n in (50, 100, 200)]
+    # every arc backwards, and every arc forwards
+    tournaments += [Tournament(n, bits) for n in (50, 200)
+                    for bits in (0, (1 << n * (n - 1) // 2) - 1)]
+    for T in tournaments:
         S2 = seidel_squared(T)
+        assert S2.dtype == np.int64 and S2.flags.writeable
         assert np.array_equal(S2, S2.T)
         assert np.array_equal(np.diag(S2), np.full(T.n, T.n - 1))
         A = adjacency(T)
