@@ -87,7 +87,9 @@ def is_doubly_regular(T: Tournament) -> DrtParams | None:
     degrees = A.sum(axis=1)
     if not np.all(degrees == degrees[0]):
         return None
-    common = A @ A.T
+    Af = A.astype(np.float64)
+    # Exact: every product and partial sum is an integer of size at most n.
+    common = (Af @ Af.T).astype(np.int64)
     off = common[~np.eye(T.n, dtype=bool)]
     if not np.all(off == off[0]):
         return None
@@ -102,10 +104,12 @@ def is_doubly_regular(T: Tournament) -> DrtParams | None:
 
 
 def skew_hadamard_check(T: Tournament) -> bool:
-    """True iff H = I + A - A^T satisfies H H^T = nI (and H + H^T = 2I)."""
-    A = adjacency(T)
-    H = np.eye(T.n, dtype=np.int64) + A - A.T
-    return bool(np.array_equal(H @ H.T, T.n * np.eye(T.n, dtype=np.int64)))
+    """True iff H = I + A - A^T satisfies H H^T = nI (and H + H^T = 2I).
+
+    With K = A - A^T skew, H H^T = (I + K)(I - K) = I - K^2 = I + S^2, so
+    the test reads S^2 = (n - 1)I.
+    """
+    return bool(np.array_equal(seidel_squared(T), (T.n - 1) * np.eye(T.n, dtype=np.int64)))
 
 
 def _components(mask: np.ndarray) -> list[list[int]]:

@@ -5,6 +5,11 @@ One bit per unordered pair {i, j} with i < j, in row-major pair order
 the arc j -> i.  Text form is "<n>:<bitstring>", so the directed 3-cycle
 is "3:101".  Tournament values are immutable; every operation returns a
 fresh object.
+
+Bulk reads and writes of the pair order go through one codec: upper_pairs(n)
+(row and column of each pair, in bit order), pair_bits(T) (the bits as a 0/1
+array) and its inverse from_pair_bits(n, upper).  Only arc()/pair_index()
+(single arcs), add_vertex and canonical_form's relabelling place bits by hand.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ ENUMERATION_LIMIT = 7   # exhaustive isomorphism-class generation cap
 SWITCHING_LIMIT = 12    # switching orbits walk 2^(n-1) subsets
 
 _LINE_RE = re.compile(r"^(\d+):([01]*)$")
+_NOT_A_BIT = re.compile(r"[^01]")
 
 
 def pair_index(i: int, j: int, n: int) -> int:
@@ -61,7 +67,7 @@ class Tournament:
         return int(adjacency(self)[v].sum())
 
     def bitstring(self) -> str:
-        return "".join("1" if (self.bits >> k) & 1 else "0" for k in range(self.num_pairs))
+        return (pair_bits(self) + ord("0")).tobytes().decode("ascii")
 
     def line(self) -> str:
         """Text form accepted by parse_line."""
@@ -75,25 +81,21 @@ def build(n: int, arc_bits) -> Tournament:
     0/1 integers, one per vertex pair in row-major order.
     """
     if isinstance(arc_bits, str):
-        seq = []
-        for ch in arc_bits:
-            if ch not in "01":
-                raise InputError(f"arc bit string may contain only 0 and 1, got {ch!r}")
-            seq.append(ord(ch) - ord("0"))
+        bad = _NOT_A_BIT.search(arc_bits)
+        if bad is not None:
+            raise InputError(f"arc bit string may contain only 0 and 1, got {bad.group()!r}")
+        upper = np.frombuffer(arc_bits.encode("ascii"), np.uint8) - ord("0")
     else:
         seq = [int(b) for b in arc_bits]
         if any(b not in (0, 1) for b in seq):
             raise InputError("arc bits must all be 0 or 1")
+        upper = np.array(seq, dtype=np.uint8)
     if n < 1:
         raise InputError(f"a tournament needs at least one vertex, got n={n}")
     want = n * (n - 1) // 2
-    if len(seq) != want:
-        raise InputError(f"n={n} needs {want} arc bits, got {len(seq)}")
-    bits = 0
-    for k, b in enumerate(seq):
-        if b:
-            bits |= 1 << k
-    return Tournament(n, bits)
+    if len(upper) != want:
+        raise InputError(f"n={n} needs {want} arc bits, got {len(upper)}")
+    return from_pair_bits(n, upper)
 
 
 def parse_line(line: str) -> Tournament:
@@ -133,8 +135,7 @@ def from_adjacency(matrix) -> Tournament:
         raise InputError("adjacency entries must be 0 or 1")
     if not np.array_equal(A + A.T, np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)):
         raise InputError("matrix is not a tournament adjacency matrix")
-    bits = [int(A[i, j]) for i in range(n) for j in range(i + 1, n)]
-    return build(n, bits)
+    return from_pair_bits(n, A[upper_pairs(n)])
 
 
 @lru_cache(maxsize=32)
@@ -152,6 +153,15 @@ def pair_bits(T: Tournament) -> np.ndarray:
     raw = T.bits.to_bytes((T.num_pairs + 7) // 8, "little")
     return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=T.num_pairs,
                          bitorder="little")
+
+
+def from_pair_bits(n: int, upper: np.ndarray) -> Tournament:
+    """Tournament on n vertices from its 0/1 arc bits in bit order.
+
+    The inverse of pair_bits; upper holds one entry per pair u < v.
+    """
+    packed = np.packbits(upper, bitorder="little")
+    return Tournament(n, int.from_bytes(packed.tobytes(), "little"))
 
 
 def adjacency(T: Tournament) -> np.ndarray:
@@ -181,14 +191,9 @@ def relabel(T: Tournament, perm: Sequence[int]) -> Tournament:
     n = T.n
     if sorted(perm) != list(range(n)):
         raise InputError(f"perm must be a permutation of 0..{n - 1}")
-    bits = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            x, y = (u, v) if T.arc(u, v) else (v, u)
-            px, py = perm[x], perm[y]
-            if px < py:
-                bits |= 1 << pair_index(px, py, n)
-    return Tournament(n, bits)
+    # Vertex perm[v] of the result is vertex v of T.
+    inv = np.argsort(perm)
+    return from_pair_bits(n, adjacency(T)[np.ix_(inv, inv)][upper_pairs(n)])
 
 
 def switch(T: Tournament, subset: Iterable[int]) -> Tournament:
@@ -197,24 +202,19 @@ def switch(T: Tournament, subset: Iterable[int]) -> Tournament:
     for v in chosen:
         if not (0 <= v < T.n):
             raise InputError(f"switching set contains invalid vertex {v}")
-    bits = T.bits
-    for u in range(T.n):
-        for v in range(u + 1, T.n):
-            if (u in chosen) != (v in chosen):
-                bits ^= 1 << pair_index(u, v, T.n)
-    return Tournament(T.n, bits)
+    side = np.array([v in chosen for v in range(T.n)])
+    rows, cols = upper_pairs(T.n)
+    return from_pair_bits(T.n, pair_bits(T) ^ (side[rows] != side[cols]))
 
 
 def delete_vertex(T: Tournament, v: int) -> Tournament:
     """Induced sub-tournament on the other n - 1 vertices."""
     if T.n < 2:
         raise InputError("cannot delete the only vertex")
-    if not (0 <= v < T.n):
+    if v not in range(T.n):
         raise InputError(f"invalid vertex {v} for n={T.n}")
     keep = [u for u in range(T.n) if u != v]
-    bits = [1 if T.arc(keep[i], keep[j]) else 0
-            for i in range(len(keep)) for j in range(i + 1, len(keep))]
-    return build(T.n - 1, bits)
+    return from_pair_bits(T.n - 1, adjacency(T)[np.ix_(keep, keep)][upper_pairs(T.n - 1)])
 
 
 def add_vertex(T: Tournament, in_pattern: int) -> Tournament:
@@ -250,10 +250,10 @@ def paley_tournament(q: int) -> Tournament:
         raise InputError(f"paley tournament needs a prime modulus, got {q}")
     if q % 4 != 3:
         raise InputError(f"paley tournament needs q = 3 (mod 4), got {q}")
-    residues = {(x * x) % q for x in range(1, q)}
-    bits = [1 if (j - i) % q in residues else 0
-            for i in range(q) for j in range(i + 1, q)]
-    return build(q, bits)
+    residue = np.zeros(q, dtype=bool)
+    residue[np.arange(1, q) ** 2 % q] = True
+    rows, cols = upper_pairs(q)
+    return from_pair_bits(q, residue[(cols - rows) % q])
 
 
 def _is_prime(q: int) -> bool:
@@ -278,18 +278,9 @@ def d_optimal_block(T1: Tournament, T2: Tournament) -> Tournament:
         raise InputError(f"block construction needs equal orders, got {T1.n} and {T2.n}")
     if is_doubly_regular(T1) is None or is_doubly_regular(T2) is None:
         raise InputError("block construction needs two doubly regular tournaments")
-    d = T1.n
-    n = 2 * d
-    bits = 0
-    for u in range(d):
-        for v in range(u + 1, d):
-            if T1.arc(u, v):
-                bits |= 1 << pair_index(u, v, n)
-            if T2.arc(u, v):
-                bits |= 1 << pair_index(d + u, d + v, n)
-        for v in range(d):
-            bits |= 1 << pair_index(u, d + v, n)
-    return Tournament(n, bits)
+    A1, A2 = adjacency(T1), adjacency(T2)
+    A = np.block([[A1, np.ones_like(A1)], [np.zeros_like(A2), A2]])
+    return from_pair_bits(2 * T1.n, A[upper_pairs(2 * T1.n)])
 
 
 def random_tournament(n: int, rng: random.Random) -> Tournament:
@@ -311,14 +302,9 @@ class CanonicalForm:
 
 
 def _out_masks(T: Tournament) -> list[int]:
-    masks = [0] * T.n
-    for u in range(T.n):
-        for v in range(u + 1, T.n):
-            if (T.bits >> pair_index(u, v, T.n)) & 1:
-                masks[u] |= 1 << v
-            else:
-                masks[v] |= 1 << u
-    return masks
+    # Bit v of masks[u] is set iff u -> v.
+    rows = np.packbits(adjacency(T), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
 def _refine(masks: list[int], n: int, colors: list[int]) -> list[int]:
@@ -366,8 +352,6 @@ def canonical_form(T: Tournament) -> CanonicalForm:
     n up to about 14.
     """
     n = T.n
-    if n == 1:
-        return CanonicalForm(b"1:")
     masks = _out_masks(T)
     best = -1
     stack = [_refine(masks, n, [0] * n)]
@@ -388,8 +372,7 @@ def canonical_form(T: Tournament) -> CanonicalForm:
                 child = list(colors)
                 child[v] = ncol
                 stack.append(_refine(masks, n, child))
-    text = "".join("1" if (best >> k) & 1 else "0" for k in range(n * (n - 1) // 2))
-    return CanonicalForm(f"{n}:{text}".encode("ascii"))
+    return CanonicalForm(Tournament(n, best).line().encode("ascii"))
 
 
 def canonical_representative(T: Tournament) -> Tournament:

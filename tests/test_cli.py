@@ -129,6 +129,10 @@ def test_enumerate_json_and_tsv(capsys):
     rc, out, _ = run_cli(capsys, "enumerate", "--n", "4", "--format", "tsv")
     assert rc == 0
     assert out.splitlines() == ["4:000000", "4:000010", "4:001001", "4:010001"]
+    rc, report, _ = run_json(capsys, "enumerate", "--n", "1")
+    assert rc == 0 and report["results"] == ["1:"]
+    rc, out, _ = run_cli(capsys, "enumerate", "--n", "1", "--format", "tsv")
+    assert rc == 0 and out.splitlines() == ["1:"]
 
 
 def test_switching_class_command(capsys):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from tourney_codes import (DrtParams, InputError, InternalConsistencyError,
-                           TightnessReport, TypeVariant, analyze,
+                           TightnessReport, Tournament, TypeVariant, adjacency, analyze,
                            block_form_check, canonical_form, classify_code,
                            count_tight_codes, d_optimal_block, delete_vertex, drt_catalog,
                            drt_minus_vertex_check, dominated_extension, is_doubly_regular,
@@ -56,6 +56,39 @@ def test_skew_hadamard_order_four(order4):
 def test_skew_hadamard_odd_orders(cycle3, paley7):
     assert not skew_hadamard_check(cycle3)
     assert not skew_hadamard_check(paley7)
+
+
+def _is_doubly_regular_int64(T):
+    """Double regularity over int64 products, kept as the reference."""
+    if T.n < 3:
+        return None
+    A = adjacency(T)
+    degrees = A.sum(axis=1)
+    off = (A @ A.T)[~np.eye(T.n, dtype=bool)]
+    if not (np.all(degrees == degrees[0]) and np.all(off == off[0])):
+        return None
+    return DrtParams(T.n, int(degrees[0]), int(off[0]))
+
+
+def _skew_hadamard_int64(T):
+    """H H^T = nI for H = I + A - A^T over int64, kept as the reference."""
+    A = adjacency(T)
+    H = np.eye(T.n, dtype=np.int64) + A - A.T
+    return bool(np.array_equal(H @ H.T, T.n * np.eye(T.n, dtype=np.int64)))
+
+
+def test_certificate_products_match_int64_definitions(classes_by_order):
+    paley = [paley_tournament(q) for q in (3, 7, 11, 19, 23, 31, 43, 47, 59, 67, 71, 79, 83)]
+    extended = [dominated_extension(P) for P in paley]
+    assert all(is_doubly_regular(P) for P in paley)
+    assert all(skew_hadamard_check(T) for T in extended)
+    cases = [Tournament(1, 0)] + [T for n in range(2, 8) for T in classes_by_order[n]]
+    cases += paley + extended + [d_optimal_block(P, P) for P in paley]
+    rng = random.Random(83)
+    cases += [random_tournament(n, rng) for n in (8, 16, 64) for _ in range(5)]
+    for T in cases:
+        assert is_doubly_regular(T) == _is_doubly_regular_int64(T), T.line()
+        assert skew_hadamard_check(T) == _skew_hadamard_int64(T), T.line()
 
 
 def test_block_form_of_the_block_construction(block6):

@@ -14,7 +14,7 @@ from tourney_codes import (InputError, Tournament, add_vertex, adjacency, build,
                            from_adjacency, paley_tournament, parse_catalog, parse_line,
                            random_tournament, relabel, seidel_matrix, seidel_squared,
                            switch, switching_class)
-from tourney_codes.tournament import pair_index
+from tourney_codes.tournament import _out_masks, pair_index
 
 # Adjacency matrices of the four order-4 classes, written out in full.
 ORDER4_MATRICES = [
@@ -69,6 +69,33 @@ def test_single_vertex_tournament():
 def test_parse_line_roundtrip():
     for line in ORDER4_LINES + ("1:", "2:1", "3:101"):
         assert parse_line(line).line() == line
+    assert Tournament(1, 0).line() == "1:"
+    # 19900 bits at n = 200, more digits than Python's decimal int/str limit of 4300
+    rng = random.Random(200)
+    for n in (1, 2, 100, 200):
+        full = (1 << (n * (n - 1) // 2)) - 1
+        for T in (random_tournament(n, rng), Tournament(n, 0), Tournament(n, full)):
+            assert parse_line(T.line()) == T
+            assert len(T.line()) == len(str(n)) + 1 + n * (n - 1) // 2
+
+
+def test_build_error_messages_in_check_order():
+    cases = [
+        ((3, "1x1"), "arc bit string may contain only 0 and 1, got 'x'"),
+        ((3, "1\u00e91"), "arc bit string may contain only 0 and 1, got '\u00e9'"),
+        ((0, "x"), "arc bit string may contain only 0 and 1, got 'x'"),
+        ((3, "1x"), "arc bit string may contain only 0 and 1, got 'x'"),
+        ((3, [1, 2, 0]), "arc bits must all be 0 or 1"),
+        ((0, [2]), "arc bits must all be 0 or 1"),
+        ((0, ""), "a tournament needs at least one vertex, got n=0"),
+        ((0, "1"), "a tournament needs at least one vertex, got n=0"),
+        ((3, "10"), "n=3 needs 3 arc bits, got 2"),
+        ((3, [1, 0, 1, 1]), "n=3 needs 3 arc bits, got 4"),
+    ]
+    for args, message in cases:
+        with pytest.raises(InputError) as info:
+            build(*args)
+        assert str(info.value) == message, args
 
 
 def test_parse_line_errors():
@@ -143,6 +170,159 @@ def test_adjacency_matches_arc_definition(classes_by_order):
         A = adjacency(T)
         assert A.dtype == np.int64
         assert np.array_equal(A, _adjacency_by_arcs(T)), T.line()
+
+
+def _codec_cases(classes_by_order):
+    """Every class with n <= 7 and random tournaments up to n = 100."""
+    cases = [Tournament(1, 0)] + [T for n in range(2, 8) for T in classes_by_order[n]]
+    rng = random.Random(1015)
+    cases += [random_tournament(n, rng) for n in (1, 2, 3, 8, 17, 64, 100) for _ in range(3)]
+    return cases
+
+
+def _build_by_arcs(n, arc_bits):
+    """The per-bit definition of build, kept as the reference."""
+    bits = 0
+    for k, b in enumerate(arc_bits):
+        if int(b):
+            bits |= 1 << k
+    return Tournament(n, bits)
+
+
+def _bitstring_by_arcs(T):
+    """The per-bit definition of Tournament.bitstring, kept as the reference."""
+    return "".join("1" if (T.bits >> k) & 1 else "0" for k in range(T.num_pairs))
+
+
+def _from_adjacency_by_arcs(A):
+    """The per-pair definition of from_adjacency, kept as the reference."""
+    n = len(A)
+    return _build_by_arcs(n, [int(A[i][j]) for i in range(n) for j in range(i + 1, n)])
+
+
+def _relabel_by_arcs(T, perm):
+    """The per-arc definition of relabel, kept as the reference."""
+    bits = 0
+    for u in range(T.n):
+        for v in range(u + 1, T.n):
+            x, y = (u, v) if T.arc(u, v) else (v, u)
+            if perm[x] < perm[y]:
+                bits |= 1 << pair_index(perm[x], perm[y], T.n)
+    return Tournament(T.n, bits)
+
+
+def _switch_by_arcs(T, subset):
+    """The per-pair definition of switch, kept as the reference."""
+    bits = T.bits
+    for u in range(T.n):
+        for v in range(u + 1, T.n):
+            if (u in subset) != (v in subset):
+                bits ^= 1 << pair_index(u, v, T.n)
+    return Tournament(T.n, bits)
+
+
+def _delete_vertex_by_arcs(T, v):
+    """The per-arc definition of delete_vertex, kept as the reference."""
+    keep = [u for u in range(T.n) if u != v]
+    return _build_by_arcs(T.n - 1, [1 if T.arc(keep[i], keep[j]) else 0
+                                    for i in range(len(keep))
+                                    for j in range(i + 1, len(keep))])
+
+
+def _paley_by_arcs(q):
+    """The per-pair definition of paley_tournament, kept as the reference."""
+    residues = {(x * x) % q for x in range(1, q)}
+    return _build_by_arcs(q, [1 if (j - i) % q in residues else 0
+                              for i in range(q) for j in range(i + 1, q)])
+
+
+def _d_optimal_block_by_arcs(T1, T2):
+    """The per-arc definition of d_optimal_block, kept as the reference."""
+    d = T1.n
+    n = 2 * d
+    bits = 0
+    for u in range(d):
+        for v in range(u + 1, d):
+            if T1.arc(u, v):
+                bits |= 1 << pair_index(u, v, n)
+            if T2.arc(u, v):
+                bits |= 1 << pair_index(d + u, d + v, n)
+        for v in range(d):
+            bits |= 1 << pair_index(u, d + v, n)
+    return Tournament(n, bits)
+
+
+def _out_masks_by_arcs(T):
+    """The per-pair definition of the out-neighbour masks, kept as the reference."""
+    masks = [0] * T.n
+    for u in range(T.n):
+        for v in range(u + 1, T.n):
+            if T.arc(u, v):
+                masks[u] |= 1 << v
+            else:
+                masks[v] |= 1 << u
+    return masks
+
+
+def test_build_and_bitstring_match_bit_loops(classes_by_order):
+    for T in _codec_cases(classes_by_order):
+        text = _bitstring_by_arcs(T)
+        assert T.bitstring() == text
+        seq = [int(ch) for ch in text]
+        assert build(T.n, text) == _build_by_arcs(T.n, text) == T
+        assert build(T.n, seq) == _build_by_arcs(T.n, seq) == T
+        assert build(T.n, np.array(seq, dtype=np.int64)) == T
+
+
+def test_from_adjacency_matches_pair_loop(classes_by_order):
+    for T in _codec_cases(classes_by_order):
+        A = _adjacency_by_arcs(T)
+        assert from_adjacency(A) == _from_adjacency_by_arcs(A) == T
+        assert from_adjacency(A.tolist()) == T
+
+
+def test_relabel_matches_arc_loop(classes_by_order):
+    rng = random.Random(31)
+    for T in _codec_cases(classes_by_order):
+        shuffled = list(range(T.n))
+        rng.shuffle(shuffled)
+        for perm in (list(range(T.n)), list(range(T.n))[::-1], shuffled):
+            assert relabel(T, perm) == _relabel_by_arcs(T, perm), (T.line(), perm)
+
+
+def test_switch_matches_pair_loop(classes_by_order):
+    rng = random.Random(37)
+    for T in _codec_cases(classes_by_order):
+        chosen = {v for v in range(T.n) if rng.random() < 0.5}
+        rest = set(range(T.n)) - chosen
+        for subset in (set(), set(range(T.n)), chosen, rest):
+            assert switch(T, subset) == _switch_by_arcs(T, subset), (T.line(), subset)
+
+
+def test_delete_vertex_matches_arc_loop(classes_by_order):
+    for T in _codec_cases(classes_by_order):
+        for v in {0, T.n - 1} if T.n > 1 else ():
+            assert delete_vertex(T, v) == _delete_vertex_by_arcs(T, v), (T.line(), v)
+
+
+def test_paley_tournament_matches_residue_loop():
+    for q in (3, 7, 11, 19, 23, 31, 43, 47, 59, 67, 71, 79, 83):
+        assert paley_tournament(q) == _paley_by_arcs(q), q
+
+
+def test_d_optimal_block_matches_arc_loop():
+    rng = random.Random(41)
+    for q in (3, 7, 11, 19, 23, 31, 43, 47):
+        P = paley_tournament(q)
+        perm = list(range(q))
+        rng.shuffle(perm)
+        for T1, T2 in ((P, P), (P, relabel(P, perm)), (relabel(P, perm), P)):
+            assert d_optimal_block(T1, T2) == _d_optimal_block_by_arcs(T1, T2), q
+
+
+def test_out_masks_match_pair_loop(classes_by_order):
+    for T in _codec_cases(classes_by_order):
+        assert _out_masks(T) == _out_masks_by_arcs(T), T.line()
 
 
 def test_out_degree_rejects_invalid_vertex(cycle3):
@@ -394,8 +574,9 @@ def test_delete_vertex_transitivity_of_paley7(paley7):
 
 
 def test_delete_vertex_rejects_bad_vertex(cycle3):
-    with pytest.raises(InputError):
-        delete_vertex(cycle3, 3)
+    for v in (-1, 3, 1.5):
+        with pytest.raises(InputError):
+            delete_vertex(cycle3, v)
     with pytest.raises(InputError):
         delete_vertex(build(1, ""), 0)
 
