@@ -25,8 +25,8 @@ from .errors import InputError, InternalConsistencyError
 from .representation import (analyze, embed, multiplicity_profile, verify_embedding,
                              witness_shift)
 from .spectral import (BETA_ZERO_TOL, CLUSTER_GAP_FACTOR, Tolerances,
-                       char_identity_residual, seidel_matrix, shifted_main_spectrum,
-                       spectrum_of)
+                       Spectrum, char_identity_residual, seidel_matrix,
+                       shifted_main_spectrum, spectrum_of)
 from .tournament import (Tournament, dominated_extension, enumerate_tournaments,
                          parse_catalog, parse_line, paley_tournament,
                          random_tournament, switching_class)
@@ -106,9 +106,8 @@ class _IndentedEncoder(json.JSONEncoder):
     With an indent, json falls back from its C encoder to a slower
     pure-Python one; this writes the same bytes faster.  Dict keys must
     be strings, and circular references are not detected.  An (n, d)
-    complex128 array, the embed command's vectors, is written as the list
-    of n rows of {"im", "re"} objects it stands for, with one %-template
-    while every entry is finite.
+    complex128 array (embed's vectors) and a Spectrum are written as the
+    lists of row objects they stand for, with one %-template while finite.
     """
 
     def encode(self, o) -> str:
@@ -142,6 +141,8 @@ class _IndentedEncoder(json.JSONEncoder):
             return "{" + inner + ("," + inner).join(items) + nl + "}"
         if isinstance(o, np.ndarray) and o.dtype == np.complex128 and o.ndim == 2:
             return self._complex_rows(o, nl)
+        if isinstance(o, Spectrum):
+            return self._spectrum_rows(o, nl)
         return self._encode(self.default(o), nl)
 
     def _complex_rows(self, X: np.ndarray, nl: str) -> str:
@@ -154,6 +155,17 @@ class _IndentedEncoder(json.JSONEncoder):
         row = "[" + entry_nl + ("," + entry_nl).join([entry] * d) + row_nl + "]" if d else "[]"
         table = "[" + row_nl + ("," + row_nl).join([row] * n) + nl + "]" if n else "[]"
         return table % tuple(np.stack([X.imag, X.real], -1).ravel().tolist())
+
+    def _spectrum_rows(self, spec: Spectrum, nl: str) -> str:
+        # %r writes float.__repr__ for the Python floats group_spectrum makes
+        values = [x for l in spec.lines for x in (l.beta, l.mult, l.tau)]
+        if not values or not np.isfinite(values).all():
+            return self._encode(spec.to_json_dict()["eigenvalues"], nl)
+        row_nl, key_nl = nl + "  ", nl + "    "
+        row = ("{" + key_nl + '"beta": %r,' + key_nl + '"mult": %d,' + key_nl
+               + '"tau": %r' + row_nl + "}")
+        table = "[" + row_nl + ("," + row_nl).join([row] * len(spec.lines)) + nl + "]"
+        return table % tuple(values)
 
 
 def _emit(report: dict, fmt: str, tsv_rows: list[list]) -> None:
@@ -181,6 +193,7 @@ def _analyze_worker(T: Tournament, tol: Tolerances) -> dict:
     report = analyze(T, tol)
     out = {"line": T.line()}
     out.update(report.to_json_dict())
+    out["spectrum"] = report.spectrum
     if T.n >= 3:
         out["tightness"] = classify_code(T, tol, report=report).to_json_dict()
     return out
@@ -192,6 +205,7 @@ def _embed_worker(T: Tournament, tol: Tolerances) -> dict:
     report = emb.report if emb.report is not None else analyze(T, tol)
     out = {"line": T.line()}
     out.update(report.to_json_dict())
+    out["spectrum"] = report.spectrum
     out["dimension"] = emb.dimension
     out["vectors"] = np.asarray(emb.vectors, dtype=np.complex128)
     out["max_deviation"] = float(verdict.max_deviation)

@@ -9,6 +9,7 @@ supports an exact-arithmetic cross-check of borderline main-angle zeros.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -128,7 +129,7 @@ def eigensystem(H, hermitian_tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np
     return w, V
 
 
-def _cluster(w: np.ndarray, gap_tol: float) -> list[list[int]]:
+def _cluster(w: list[float], gap_tol: float) -> list[list[int]]:
     clusters = [[0]]
     for k in range(1, len(w)):
         if w[k] - w[k - 1] < gap_tol:
@@ -296,22 +297,27 @@ def group_spectrum(eigenvalues, eigenvectors, j_vector=None, *,
 
     radius = max(1.0, float(np.abs(w).max()))
     gap_tol = tol.cluster_gap_factor * radius
-    clusters = _cluster(w, gap_tol)
+    wl = w.tolist()
+    clusters = _cluster(wl, gap_tol)
 
     warnings = []
     for a, b in zip(clusters, clusters[1:]):
-        gap = w[b[0]] - w[a[-1]]
+        gap = wl[b[0]] - wl[a[-1]]
         if gap < 10 * gap_tol:
             warnings.append(
-                f"ambiguous clustering: gap {gap:.3e} near tau={w[a[-1]]:.6f} "
+                f"ambiguous clustering: gap {gap:.3e} near tau={wl[a[-1]]:.6f} "
                 f"is within a factor 10 of the tolerance {gap_tol:.3e}")
 
-    proj = V.conj().T @ j
-    taus, mults, betas = [], [], []
+    # The bits of a numpy-scalar loop: np.mean of one point is 0.0 + point, and
+    # squares add in order (builtin sum is compensated from Python 3.12 on).
+    proj = (V.conj().T @ j).tolist()
+    taus, betas = [], []
     for idx in clusters:
-        taus.append(float(np.mean(w[idx])))
-        mults.append(len(idx))
-        betas.append(float(np.sqrt(sum(abs(proj[k]) ** 2 for k in idx) / n)))
+        taus.append(0.0 + wl[idx[0]] if len(idx) == 1 else float(np.mean(w[idx])))
+        acc = 0.0
+        for k in idx:
+            acc += abs(proj[k]) ** 2
+        betas.append(math.sqrt(acc / n))
 
     expected = float(np.vdot(j, j).real) / n
     if abs(sum(b * b for b in betas) - expected) > SUM_BETA_SQ_TOL:
@@ -319,8 +325,8 @@ def group_spectrum(eigenvalues, eigenvectors, j_vector=None, *,
 
     use_exact = exact_s2 if (j_vector is None or bool(np.all(j == 1))) else None
     flags = _resolve_mainness(taus, betas, use_exact, tol)
-    lines = tuple(SpectralLine(t, m, b, f)
-                  for t, m, b, f in zip(taus, mults, betas, flags))
+    lines = tuple(SpectralLine(t, len(idx), b, f)
+                  for t, idx, b, f in zip(taus, clusters, betas, flags))
     return Spectrum(n, lines, gap_tol, tuple(warnings))
 
 

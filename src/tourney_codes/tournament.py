@@ -78,7 +78,7 @@ def build(n: int, arc_bits) -> Tournament:
     """Build a tournament from its upper-triangle bit pattern.
 
     arc_bits may be a string of '0'/'1' characters or any sequence of
-    0/1 integers, one per vertex pair in row-major order.
+    values equal to 0 or 1, one per vertex pair in row-major order.
     """
     if isinstance(arc_bits, str):
         bad = _NOT_A_BIT.search(arc_bits)
@@ -86,7 +86,7 @@ def build(n: int, arc_bits) -> Tournament:
             raise InputError(f"arc bit string may contain only 0 and 1, got {bad.group()!r}")
         upper = np.frombuffer(arc_bits.encode("ascii"), np.uint8) - ord("0")
     else:
-        seq = [int(b) for b in arc_bits]
+        seq = list(arc_bits)
         if any(b not in (0, 1) for b in seq):
             raise InputError("arc bits must all be 0 or 1")
         upper = np.array(seq, dtype=np.uint8)
@@ -200,7 +200,7 @@ def switch(T: Tournament, subset: Iterable[int]) -> Tournament:
     """Reverse every arc between the subset and its complement."""
     chosen = frozenset(subset)
     for v in chosen:
-        if not (0 <= v < T.n):
+        if v not in range(T.n):
             raise InputError(f"switching set contains invalid vertex {v}")
     side = np.array([v in chosen for v in range(T.n)])
     rows, cols = upper_pairs(T.n)

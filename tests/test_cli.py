@@ -18,7 +18,8 @@ import tourney_codes
 from tourney_codes import (DEFAULT_TOLERANCES, Embedding, InternalConsistencyError,
                            TypeVariant, analyze, classify_code, d_optimal_block,
                            delete_vertex, dominated_extension, embed, paley_tournament,
-                           parse_line, verify_embedding)
+                           parse_line, random_tournament, verify_embedding)
+from tourney_codes.spectral import SpectralLine, Spectrum
 from tourney_codes.cli import ORDER4_LINES, _check_embed_all, _IndentedEncoder, main
 
 
@@ -328,6 +329,14 @@ def test_encoder_rejects_what_json_rejects(value):
         indented({"a": [value]})
 
 
+def envelope(command, text, results):
+    return {"command": command, "version": tourney_codes.__version__,
+            "inputs_digest": hashlib.sha256(text.encode()).hexdigest(),
+            "tolerances": {"eig_tol": DEFAULT_TOLERANCES.cluster_gap_factor,
+                           "beta_tol": DEFAULT_TOLERANCES.beta_zero},
+            "results": results}
+
+
 def old_vectors(X):
     return [[{"re": float(z.real), "im": float(z.imag)} for z in row] for row in X]
 
@@ -361,12 +370,43 @@ def test_embed_output_matches_the_dict_form(capsys, monkeypatch):
                         "dimension": emb.dimension, "vectors": old_vectors(emb.vectors),
                         "max_deviation": verdict.max_deviation,
                         "check_passed": verdict.passed})
-    want = {"command": "embed", "version": tourney_codes.__version__,
-            "inputs_digest": hashlib.sha256(text.encode()).hexdigest(),
-            "tolerances": {"eig_tol": DEFAULT_TOLERANCES.cluster_gap_factor,
-                           "beta_tol": DEFAULT_TOLERANCES.beta_zero},
-            "results": results}
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     rc, out, _ = run_cli(capsys, "embed", "-")
     assert rc == 0
-    assert out == json.dumps(want, sort_keys=True, indent=2) + "\n"
+    assert out == json.dumps(envelope("embed", text, results),
+                             sort_keys=True, indent=2) + "\n"
+
+
+def test_analyze_output_matches_the_dict_form(capsys, monkeypatch):
+    P7, P11 = paley_tournament(7), paley_tournament(11)
+    tournaments = [parse_line(line) for line in ORDER4_LINES + ("2:1",)]
+    tournaments += [P11, dominated_extension(P7), delete_vertex(P11, 4),
+                    d_optimal_block(P7, P7)]
+    rng = random.Random(2026)
+    tournaments += [random_tournament(n, rng) for n in (20, 20, 20, 21, 21, 21)]
+    text = "".join(T.line() + "\n" for T in tournaments)
+    results = []
+    for T in tournaments:
+        result = {"line": T.line(), **analyze(T).to_json_dict()}
+        if T.n >= 3:
+            result["tightness"] = classify_code(T).to_json_dict()
+        results.append(result)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    rc, out, _ = run_cli(capsys, "analyze", "-")
+    assert rc == 0
+    assert out == json.dumps(envelope("analyze", text, results),
+                             sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("rows", [
+    [(2.5, 1, 0.125)],
+    [(-0.0, 2, 0.0), (1e-300, 1, 5e-324), (-1.7320508075688772, 3, 0.5773502691896257)],
+    [(0.0, 1, math.nan), (1.0, 1, 0.5)],
+    [(math.inf, 1, 0.5), (-math.inf, 4, 0.0)],
+    [],
+])
+def test_spectrum_rows_match_the_dict_form(rows):
+    spec = Spectrum(len(rows), tuple(SpectralLine(t, m, b, b > 0) for t, m, b in rows), 1e-7)
+    want = spec.to_json_dict()["eigenvalues"]
+    for wrap in (lambda x: x, lambda x: {"results": [{"line": "x", "spectrum": x}]}):
+        assert indented(wrap(spec)) == json.dumps(wrap(want), sort_keys=True, indent=2)

@@ -3,15 +3,17 @@ cross-checks, the rank-one-shift characteristic identity, and interlacing."""
 
 import math
 import random
+import struct
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from tourney_codes import spectral
-from tourney_codes import (CharIdentityResult, InputError,
-                           InternalConsistencyError, Tolerances,
-                           char_identity_residual, eigensystem,
+from tourney_codes import (DEFAULT_TOLERANCES, CharIdentityResult, InputError,
+                           InternalConsistencyError, Tolerances, Tournament,
+                           char_identity_residual, d_optimal_block, delete_vertex,
+                           dominated_extension, eigensystem,
                            exact_integer_eigenvalue, exact_ones_resolvent,
                            group_spectrum, paley_tournament, parse_line,
                            random_tournament, seidel_matrix, seidel_squared,
@@ -175,6 +177,139 @@ def test_sub_tolerance_gap_merges():
     assert spec.multiplicities() == (2, 1)
     assert spec.lines[0].tau == pytest.approx(2.5e-8, abs=1e-12)
     assert not spec.warnings
+
+
+# ------------------------------------ the scalar loop against numpy scalars
+
+
+def _group_spectrum_reference(eigenvalues, eigenvectors, j_vector=None, *,
+                              exact_s2=None, tol=DEFAULT_TOLERANCES):
+    """group_spectrum as a loop over numpy scalars, kept as the reference."""
+    w = np.asarray(eigenvalues, dtype=np.float64)
+    V = np.asarray(eigenvectors, dtype=np.complex128)
+    n = len(w)
+    if n == 0 or V.shape != (n, n):
+        raise InputError("eigenvalues and eigenvectors have mismatched shapes")
+    if j_vector is None:
+        j = np.ones(n)
+    else:
+        j = np.asarray(j_vector, dtype=np.complex128)
+        if j.shape != (n,):
+            raise InputError("j vector has the wrong length")
+    order = np.argsort(w, kind="stable")
+    w = w[order]
+    V = V[:, order]
+
+    radius = max(1.0, float(np.abs(w).max()))
+    gap_tol = tol.cluster_gap_factor * radius
+    clusters = spectral._cluster(w, gap_tol)
+
+    warnings = []
+    for a, b in zip(clusters, clusters[1:]):
+        gap = w[b[0]] - w[a[-1]]
+        if gap < 10 * gap_tol:
+            warnings.append(
+                f"ambiguous clustering: gap {gap:.3e} near tau={w[a[-1]]:.6f} "
+                f"is within a factor 10 of the tolerance {gap_tol:.3e}")
+
+    proj = V.conj().T @ j
+    taus, mults, betas = [], [], []
+    for idx in clusters:
+        taus.append(float(np.mean(w[idx])))
+        mults.append(len(idx))
+        betas.append(float(np.sqrt(sum(abs(proj[k]) ** 2 for k in idx) / n)))
+
+    expected = float(np.vdot(j, j).real) / n
+    if abs(sum(b * b for b in betas) - expected) > spectral.SUM_BETA_SQ_TOL:
+        raise InternalConsistencyError("main angle squares do not sum to |j|^2 / n")
+
+    use_exact = exact_s2 if (j_vector is None or bool(np.all(j == 1))) else None
+    flags = spectral._resolve_mainness(taus, betas, use_exact, tol)
+    lines = tuple(spectral.SpectralLine(t, m, b, f)
+                  for t, m, b, f in zip(taus, mults, betas, flags))
+    return spectral.Spectrum(n, lines, gap_tol, tuple(warnings))
+
+
+def _spectrum_bits(spec):
+    floats = [x for l in spec.lines for x in (l.tau, l.beta)] + [spec.cluster_tol]
+    return (spec.n, struct.pack(f"<{len(floats)}d", *floats), spec.multiplicities(),
+            tuple(l.main for l in spec.lines), spec.warnings)
+
+
+def _assert_same_bits(w, V, j=None, s2=None):
+    want = _group_spectrum_reference(w, V, j, exact_s2=s2)
+    got = group_spectrum(w, V, j, exact_s2=s2)
+    assert _spectrum_bits(got) == _spectrum_bits(want)
+    # The CLI writer prints these with %r and %d, so they must be Python scalars.
+    assert all(type(l.tau) is float and type(l.beta) is float and type(l.mult) is int
+               for l in got.lines)
+
+
+def _tournament_cases(classes_by_order):
+    cases = [T for n in sorted(classes_by_order) for T in classes_by_order[n]]
+    rng = random.Random(20261018)
+    for n in list(range(2, 41)) + [50, 60, 75, 94, 100, 120]:
+        cases += [random_tournament(n, rng) for _ in range(12)]
+    for q in (3, 7, 11, 19, 23, 31, 43, 47, 59, 67, 71, 79, 83):
+        P = paley_tournament(q)
+        cases += [P, dominated_extension(P), delete_vertex(P, 0)]
+        if q <= 47:
+            cases.append(d_optimal_block(P, P))
+    return cases
+
+
+def test_group_spectrum_matches_numpy_scalar_loop_on_tournaments(classes_by_order):
+    for T in _tournament_cases(classes_by_order):
+        w, V = eigensystem(seidel_matrix(T))
+        _assert_same_bits(w, V, s2=seidel_squared(T))
+
+
+def test_group_spectrum_matches_numpy_scalar_loop_on_hermitian_matrices():
+    rng = np.random.default_rng(20261018)
+    for k in range(400):
+        n = int(rng.integers(1, 30))
+        H = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        H = H + H.conj().T
+        if k % 3 == 0:
+            H = np.round(H)
+        elif k % 3 == 1:  # few distinct eigenvalues, each repeated
+            Q, _ = np.linalg.qr(H)
+            H = (Q * rng.integers(-2, 3, size=n)) @ Q.conj().T
+        w, V = np.linalg.eigh(H)
+        _assert_same_bits(w, V)
+        _assert_same_bits(w, V, rng.normal(size=n) + 1j * rng.normal(size=n))
+        _assert_same_bits(w, V, np.ones(n))
+
+
+def test_group_spectrum_matches_numpy_scalar_loop_at_edges():
+    # np.mean of one point adds it to 0.0, which turns -0.0 into 0.0.
+    for x in (-0.0, 0.0, 5e-324, -5e-324, 1.0):
+        _assert_same_bits(np.array([x]), np.eye(1))
+    _assert_same_bits(np.array([-0.0, -0.0, 1.0]), np.eye(3))
+    assert math.copysign(1.0, group_spectrum([-0.0], np.eye(1)).lines[0].tau) == 1.0
+    # a gap that draws a warning, and one that merges two eigenvalues
+    for gap in (5e-7, 5e-8):
+        w, V = eigensystem(np.diag([0.0, gap, 1.0]))
+        _assert_same_bits(w, V)
+
+
+def test_group_spectrum_matches_numpy_scalar_loop_on_random_bits():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def tournaments(draw):
+        n = draw(st.integers(2, 64))
+        return Tournament(n, draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1)))
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(tournaments())
+    def check(T):
+        w, V = eigensystem(seidel_matrix(T))
+        _assert_same_bits(w, V, s2=seidel_squared(T))
+
+    check()
 
 
 # ------------------------------------------------------ exact cross-checks

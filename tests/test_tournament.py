@@ -2,6 +2,7 @@
 switching, and the fixture constructions."""
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -96,6 +97,18 @@ def test_build_error_messages_in_check_order():
         with pytest.raises(InputError) as info:
             build(*args)
         assert str(info.value) == message, args
+
+
+def test_build_takes_integer_valued_bits_and_refuses_the_rest():
+    for seq in ([1, 0, 1], [True, False, True], [1.0, 0.0, 1.0],
+                [np.int64(1), np.uint8(0), np.float32(1.0)], np.array([1, 0, 1]),
+                np.array([1.0, 0.0, 1.0]), np.array([True, False, True])):
+        assert build(3, seq).line() == "3:101", seq
+    for seq in ([1.5, 0, 1], [1, 0, 0.5], [math.nan, 0, 1], ["1", "0", "1"],
+                [None, 0, 1], np.array([1.5, 0.0, 1.0])):
+        with pytest.raises(InputError) as info:
+            build(3, seq)
+        assert str(info.value) == "arc bits must all be 0 or 1", seq
 
 
 def test_parse_line_errors():
@@ -466,6 +479,13 @@ def test_switch_involution_and_complement():
         complement = set(range(T.n)) - subset
         assert switch(switch(T, subset), subset) == T
         assert switch(T, subset) == switch(T, complement)
+
+
+def test_switch_rejects_bad_vertex(cycle3):
+    for v in (-1, 3, 1.5, math.nan):
+        with pytest.raises(InputError):
+            switch(cycle3, [v])
+    assert switch(cycle3, [np.int64(0), True]) == switch(cycle3, {0, 1})
 
 
 def test_switch_single_vertex_reverses_its_arcs(cycle3):
