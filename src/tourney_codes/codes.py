@@ -112,25 +112,6 @@ def skew_hadamard_check(T: Tournament) -> bool:
     return bool(np.array_equal(seidel_squared(T), (T.n - 1) * np.eye(T.n, dtype=np.int64)))
 
 
-def _components(mask: np.ndarray) -> list[list[int]]:
-    # Connected components of a symmetric boolean matrix, each sorted,
-    # ordered by their smallest vertex.
-    seen = np.zeros(mask.shape[0], dtype=bool)
-    comps = []
-    for start in range(mask.shape[0]):
-        if seen[start]:
-            continue
-        comp = np.zeros_like(seen)
-        frontier = comp.copy()
-        frontier[start] = True
-        while frontier.any():
-            comp |= frontier
-            frontier = mask[frontier].any(axis=0) & ~comp
-        seen |= comp
-        comps.append(np.flatnonzero(comp).tolist())
-    return comps
-
-
 def block_form_check(T: Tournament) -> BlockFormCert | None:
     """Certificate that S^2 = diag(kI + lJ, kI + lJ) with k, l > 0, or None.
 
@@ -148,12 +129,12 @@ def block_form_check(T: Tournament) -> BlockFormCert | None:
         # the skew Hadamard regime, not a block form.
         log.debug("block form rejected: S^2 is a scalar matrix (l = 0)")
         return None
-    comps = _components(support)
-    if len(comps) != 2:
+    # In a block form, row 0 of S^2 is nonzero exactly on vertex 0's block.
+    first = np.flatnonzero(S2[0])
+    second = np.flatnonzero(S2[0] == 0)
+    if len(first) != n // 2 or S2[np.ix_(first, second)].any():
         return None
-    first, second = (comps[0], comps[1]) if 0 in comps[0] else (comps[1], comps[0])
-    if len(first) != n // 2 or len(second) != n // 2:
-        return None
+    first, second = first.tolist(), second.tolist()
     inside = ~np.eye(n // 2, dtype=bool)
     values = set()
     for comp in (first, second):

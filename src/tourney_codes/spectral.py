@@ -139,18 +139,21 @@ def _cluster(w: list[float], gap_tol: float) -> list[list[int]]:
     return clusters
 
 
-def _krylov_minimal_polynomial(rows: list[list[int]]) -> list[Fraction]:
-    """Monic minimal polynomial of an integer matrix on the cyclic space of
-    the all-ones vector, computed exactly over the rationals.
+def _krylov_minimal_polynomial(matrix) -> tuple[list[Fraction], list[int]]:
+    """Monic minimal polynomial of an integer matrix M on the cyclic space of
+    the all-ones vector j, computed exactly over the rationals.
 
-    Returns the coefficient list c with c[k] the coefficient of x^k and
-    the leading coefficient equal to 1.
+    Returns (c, s): c[k] is the coefficient of x^k, with leading
+    coefficient 1, and s[k] = j^T M^k j for k = 0..deg.
     """
+    rows = [[int(x) for x in row] for row in np.asarray(matrix)]
     n = len(rows)
     v = [1] * n
+    moments = []
     echelon: list[tuple[int, list[Fraction], list[Fraction]]] = []
     k = 0
     while True:
+        moments.append(sum(v))
         vec = [Fraction(x) for x in v]
         expr = [Fraction(0)] * (k + 1)
         expr[k] = Fraction(1)
@@ -162,29 +165,11 @@ def _krylov_minimal_polynomial(rows: list[list[int]]) -> list[Fraction]:
                         for i, a in enumerate(expr)]
         pivot = next((i for i, x in enumerate(vec) if x), None)
         if pivot is None:
-            return expr
+            return expr, moments
         inv = Fraction(1) / vec[pivot]
         echelon.append((pivot, [x * inv for x in vec], [x * inv for x in expr]))
         v = [sum(rows[i][t] * v[t] for t in range(n)) for i in range(n)]
         k += 1
-
-
-def _exact_main_square_roots(s2) -> np.ndarray:
-    """Distinct eigenvalues of S^2 seen by the all-ones vector.
-
-    These are the roots of the exact Krylov minimal polynomial; tau is a
-    main eigenvalue of S exactly when tau^2 appears here.
-    """
-    rows = [[int(x) for x in row] for row in np.asarray(s2)]
-    coeffs = _krylov_minimal_polynomial(rows)
-    try:
-        poly = [float(c) for c in reversed(coeffs)]
-    except OverflowError:
-        raise InternalConsistencyError(
-            "the exact main-angle polynomial has coefficients beyond floating "
-            "range, so its roots cannot be located") from None
-    roots = np.roots(poly)
-    return np.sort(roots.real)
 
 
 def _horner(coeffs: list[Fraction], x: Fraction) -> Fraction:
@@ -223,8 +208,7 @@ def exact_ones_resolvent(matrix, shift: int) -> Fraction | None:
     if it is an eigenvalue of M on the orthogonal complement; returns
     None at a pole (shift seen by j).
     """
-    rows = [[int(x) for x in row] for row in np.asarray(matrix)]
-    p = _krylov_minimal_polynomial(rows)
+    p, moments = _krylov_minimal_polynomial(matrix)
     k = Fraction(shift)
     pk = _horner(p, k)
     if pk == 0:
@@ -237,31 +221,51 @@ def exact_ones_resolvent(matrix, shift: int) -> Fraction | None:
     for idx in range(len(p) - 1, 0, -1):
         acc = acc * k + p[idx]
         q[idx - 1] = acc
-    n = len(rows)
-    v = [1] * n
-    total = Fraction(0)
-    for coeff in q:
-        total += coeff * sum(v)
-        v = [sum(rows[i][t] * v[t] for t in range(n)) for i in range(n)]
-    return -total / pk
+    return -sum(c * m for c, m in zip(q, moments)) / pk
 
 
-def _resolve_mainness(taus, betas, s2, tol: Tolerances) -> list[bool]:
+def _resolve_mainness(taus, betas, s2, tol: Tolerances, cluster_tol: float) -> list[bool]:
     # Floating main angles decide directly outside the ambiguous band;
-    # inside it the exact Krylov spectrum of the integer matrix S^2 decides.
+    # inside it the exact minimal polynomial p of j under the integer
+    # matrix S^2 decides: tau is main exactly when tau^2 is a root of p.
     ambiguous = [tol.beta_exact_lo <= b <= tol.beta_exact_hi for b in betas]
     if s2 is None or not any(ambiguous):
         return [b > tol.beta_zero for b in betas]
-    seen = _exact_main_square_roots(s2)
-    sq_scale = max(1.0, max(t * t for t in taus))
+    p, _ = _krylov_minimal_polynomial(s2)
+    # Each line gets the bracket [tau^2 - h, tau^2 + h]: clustering takes a
+    # float tau to be within cluster_tol of its true value, and squaring
+    # moves that error by at most h in tau^2.  S^2 is symmetric, so the
+    # roots of p are real and simple, and a bracket over which p changes
+    # sign holds an odd number of them, so at least one.  When deg p
+    # disjoint brackets change sign, each holds exactly one root and every
+    # other bracket holds none, so a poor h is refused, not misread.
+    h = Fraction(cluster_tol * (2 * max(abs(t) for t in taus) + cluster_tol))
+    sq = [Fraction(t) ** 2 for t in taus]
+    brackets: list[list[int]] = []
+    for i in sorted(range(len(taus)), key=sq.__getitem__):
+        if not brackets or sq[i] - sq[brackets[-1][-1]] > 2 * h:
+            brackets.append([i])
+            continue
+        # Only the lines +-tau of one eigenvalue tau^2 of S^2 may share one.
+        t = taus[brackets[-1][0]]
+        if len(brackets[-1]) > 1 or t * taus[i] >= 0 or abs(t + taus[i]) > cluster_tol:
+            raise InternalConsistencyError(
+                f"tau={t:g} and tau={taus[i]:g} are too close to settle their "
+                f"main angles exactly")
+        brackets[-1].append(i)
+    roots = [m for m in brackets if _horner(p, sq[m[0]] - h) * _horner(p, sq[m[-1]] + h) < 0]
+    if len(roots) != len(p) - 1:
+        raise InternalConsistencyError(
+            f"{len(roots)} brackets hold a root of the exact main-angle polynomial "
+            f"of degree {len(p) - 1}, so the exact route cannot settle them")
+    hit = {i for m in roots for i in m}
     flags = []
-    for t, b, amb in zip(taus, betas, ambiguous):
-        hit = bool(np.any(np.abs(seen - t * t) <= 1e-4 * sq_scale))
+    for i, (t, b, amb) in enumerate(zip(taus, betas, ambiguous)):
         if amb:
-            flags.append(hit)
+            flags.append(i in hit)
         else:
             clear = b > tol.beta_exact_hi
-            if clear != hit:
+            if clear != (i in hit):
                 raise InternalConsistencyError(
                     f"floating main angle {b:g} at tau={t:g} contradicts the "
                     f"exact integer spectrum")
@@ -324,7 +328,7 @@ def group_spectrum(eigenvalues, eigenvectors, j_vector=None, *,
         raise InternalConsistencyError("main angle squares do not sum to |j|^2 / n")
 
     use_exact = exact_s2 if (j_vector is None or bool(np.all(j == 1))) else None
-    flags = _resolve_mainness(taus, betas, use_exact, tol)
+    flags = _resolve_mainness(taus, betas, use_exact, tol, gap_tol)
     lines = tuple(SpectralLine(t, len(idx), b, f)
                   for t, idx, b, f in zip(taus, clusters, betas, flags))
     return Spectrum(n, lines, gap_tol, tuple(warnings))
@@ -400,8 +404,11 @@ def shifted_main_spectrum(H, a: float, tol: Tolerances = DEFAULT_TOLERANCES
     """Main spectrum of M = H + aJ and its interlacing verdict against H.
 
     For a > 0 the main eigenvalues must satisfy tau_1 < mu_1 < tau_2 < ...
-    < tau_r < mu_r; for a < 0 the mu come first.  Violations beyond the
-    strictness slack of 1e-7 are recorded.
+    < tau_r < mu_r; for a < 0 the mu come first.  A pair that should read
+    lo < hi is recorded as a violation only when lo exceeds hi by more than
+    INTERLACING_SLACK, so lo == hi passes.  Demanding a gap instead would
+    flag true strict interlacing: a main eigenvalue whose beta is near
+    beta_zero moves by only about n |a| beta^2 under the shift, below 1e-7.
     """
     if a == 0:
         raise InputError("the shift a must be nonzero")

@@ -8,15 +8,14 @@ import random
 import numpy as np
 import pytest
 
-from tourney_codes import (DrtParams, InputError, InternalConsistencyError,
+from tourney_codes import (BlockFormCert, DrtParams, InputError, InternalConsistencyError,
                            TightnessReport, Tournament, TypeVariant, adjacency, analyze,
                            block_form_check, canonical_form, classify_code,
                            count_tight_codes, d_optimal_block, delete_vertex, drt_catalog,
                            drt_minus_vertex_check, dominated_extension, is_doubly_regular,
                            paley_tournament, parse_line, random_tournament,
-                           relabel, rep_dimension,
-                           skew_hadamard_check, verify_no_double_zero_spectrum)
-from tourney_codes.codes import _components
+                           relabel, rep_dimension, seidel_squared,
+                           skew_hadamard_check, switch, verify_no_double_zero_spectrum)
 
 ROTATIONAL5 = "5:1100110111"   # out-degree 2 everywhere, order not 3 mod 4
 
@@ -236,7 +235,8 @@ def test_shared_analysis_must_belong_to_the_tournament(cycle3, paley7, block6, d
 
 
 def _components_by_search(mask):
-    """The per-vertex search, kept as the reference for _components."""
+    """Connected components of a symmetric boolean matrix by a per-vertex
+    search, each sorted, ordered by their smallest vertex."""
     n = mask.shape[0]
     seen = [False] * n
     comps = []
@@ -257,13 +257,46 @@ def _components_by_search(mask):
     return comps
 
 
-def test_components_match_search():
-    rng = np.random.default_rng(5)
-    for n in (1, 2, 5, 12, 30):
-        for density in (0.0, 0.05, 0.2, 0.6):
-            upper = np.triu(rng.random((n, n)) < density, 1)
-            mask = upper | upper.T
-            assert _components(mask) == _components_by_search(mask)
+def _block_form_by_components(T):
+    """block_form_check by a component search of the off-diagonal support
+    of S^2, kept as the reference."""
+    n = T.n
+    S2 = seidel_squared(T)
+    support = (S2 != 0) & ~np.eye(n, dtype=bool)
+    if not support.any():
+        return None
+    comps = _components_by_search(support)
+    if len(comps) != 2 or any(len(comp) != n // 2 for comp in comps):
+        return None
+    values = {int(S2[u, v]) for comp in comps for u in comp for v in comp if u != v}
+    if len(values) != 1:
+        return None
+    l = values.pop()
+    if l <= 0 or n - 1 - l <= 0:
+        return None
+    return BlockFormCert(n - 1 - l, l, (tuple(comps[0]), tuple(comps[1])))
+
+
+def test_block_form_matches_component_search(classes_by_order):
+    # Row 0 decides the halves, so every vertex of each small class takes
+    # a turn as vertex 0.
+    cases = [relabel(T, [v if u == 0 else 0 if u == v else u for u in range(T.n)])
+             for n in (2, 4, 6) for T in classes_by_order[n] for v in range(n)]
+    rng = random.Random(94)
+    for q in (3, 7, 11, 19, 23, 31, 43, 47):
+        P = paley_tournament(q)
+        block = d_optimal_block(P, P)
+        perm = list(range(2 * q))
+        rng.shuffle(perm)
+        cases += [relabel(block, perm), switch(block, [0]), switch(block, range(q)),
+                  delete_vertex(P, 0)]
+    cases += [random_tournament(2 * rng.randint(1, 40), rng) for _ in range(200)]
+    certified = 0
+    for T in cases:
+        cert = block_form_check(T)
+        assert cert == _block_form_by_components(T), T.line()
+        certified += cert is not None
+    assert certified >= 17
 
 
 def test_certificate_census_small_orders(classes_by_order):

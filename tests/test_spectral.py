@@ -11,7 +11,7 @@ import pytest
 
 from tourney_codes import spectral
 from tourney_codes import (DEFAULT_TOLERANCES, CharIdentityResult, InputError,
-                           InternalConsistencyError, Tolerances, Tournament,
+                           InternalConsistencyError, Tolerances, Tournament, analyze,
                            char_identity_residual, d_optimal_block, delete_vertex,
                            dominated_extension, eigensystem,
                            exact_integer_eigenvalue, exact_ones_resolvent,
@@ -24,6 +24,10 @@ SQRT3 = math.sqrt(3.0)
 # Both tournaments sit exactly on the c2 = 0 boundary: six O(1) terms of
 # the c2 sum cancel, and only the exact resolvent settles the sign.
 BOUNDARY_LINES = ("7:000000000000001000011", "7:000001000000001001011")
+
+# The whole [0, 0.99] band is ambiguous, so every main angle below 0.99
+# is settled by the exact route alone.
+WIDE_BAND = Tolerances(beta_exact_lo=0.0, beta_exact_hi=0.99)
 
 
 # ---------------------------------------------------------------- matrices
@@ -224,7 +228,7 @@ def _group_spectrum_reference(eigenvalues, eigenvectors, j_vector=None, *,
         raise InternalConsistencyError("main angle squares do not sum to |j|^2 / n")
 
     use_exact = exact_s2 if (j_vector is None or bool(np.all(j == 1))) else None
-    flags = spectral._resolve_mainness(taus, betas, use_exact, tol)
+    flags = spectral._resolve_mainness(taus, betas, use_exact, tol, gap_tol)
     lines = tuple(spectral.SpectralLine(t, m, b, f)
                   for t, m, b, f in zip(taus, mults, betas, flags))
     return spectral.Spectrum(n, lines, gap_tol, tuple(warnings))
@@ -316,12 +320,9 @@ def test_group_spectrum_matches_numpy_scalar_loop_on_random_bits():
 
 
 def test_wide_ambiguity_band_resolved_exactly(cycle3, transitive3):
-    # With the whole [0, 0.99] band declared ambiguous, main angles are
-    # settled by the rational spectrum of the integer matrix S^2 alone.
-    wide = Tolerances(beta_exact_lo=0.0, beta_exact_hi=0.99)
-    spec = spectrum_of(cycle3, tol=wide)
+    spec = spectrum_of(cycle3, tol=WIDE_BAND)
     assert [l.main for l in spec.lines] == [False, True, False]
-    spec = spectrum_of(transitive3, tol=wide)
+    spec = spectrum_of(transitive3, tol=WIDE_BAND)
     assert [l.main for l in spec.lines] == [True, True, True]
 
 
@@ -330,19 +331,73 @@ def test_clear_float_contradicting_exact_spectrum_raises(cycle3):
     # its ones-vector cycle, so the two routes disagree and neither may
     # be silently preferred.
     w, V = eigensystem(seidel_matrix(cycle3))
-    wide = Tolerances(beta_exact_lo=0.0, beta_exact_hi=0.99)
     with pytest.raises(InternalConsistencyError, match="contradicts"):
-        group_spectrum(w, V, exact_s2=3 * np.eye(3, dtype=int), tol=wide)
+        group_spectrum(w, V, exact_s2=3 * np.eye(3, dtype=int), tol=WIDE_BAND)
 
 
-def test_oversized_exact_polynomial_is_consistency_error(monkeypatch, paley7):
-    # Near n = 300 the exact coefficients leave floating range; that must
-    # surface as an internal consistency error, not an OverflowError.
-    monkeypatch.setattr(spectral, "_krylov_minimal_polynomial",
-                        lambda rows: [Fraction(10 ** 400), Fraction(1)])
-    wide = Tolerances(beta_exact_lo=0.0, beta_exact_hi=0.99)
-    with pytest.raises(InternalConsistencyError, match="floating range"):
-        spectrum_of(paley7, wide)
+def _verdicts(report):
+    return (tuple(l.main for l in report.spectrum.lines), report.type_class.variant,
+            report.rep_dim)
+
+
+def test_wide_band_agrees_with_default_tolerances_at_larger_orders():
+    # Floating root matching at a relative 1e-4 misread main angles here.
+    rng = random.Random(64)
+    for n in (56, 64, 64):
+        T = random_tournament(n, rng)
+        assert _verdicts(analyze(T, WIDE_BAND)) == _verdicts(analyze(T)), T.line()
+
+
+def test_wide_band_agrees_with_default_tolerances_on_random_bits():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def tournaments(draw):
+        n = draw(st.integers(2, 48))
+        return Tournament(n, draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1)))
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(tournaments())
+    def check(T):
+        assert _verdicts(analyze(T, WIDE_BAND)) == _verdicts(analyze(T))
+
+    check()
+
+
+def test_non_partners_sharing_a_bracket_are_refused():
+    # Two clusters 1.5e-7 apart: their tau^2 brackets overlap, but they are
+    # not the two signs of one eigenvalue of S^2.
+    w = np.array([1.0, 1.0 + 1.5e-7])
+    with pytest.raises(InternalConsistencyError, match="too close"):
+        group_spectrum(w, np.eye(2), exact_s2=np.eye(2, dtype=int), tol=WIDE_BAND)
+
+
+def test_root_outside_every_bracket_is_refused(transitive3):
+    # The all-ones vector sees 0, 3 and 5 under diag(0, 3, 5), but the
+    # floating spectrum only brackets tau^2 = 0 and 3.
+    w, V = eigensystem(seidel_matrix(transitive3))
+    with pytest.raises(InternalConsistencyError, match="2 brackets hold a root"):
+        group_spectrum(w, V, exact_s2=np.diag([0, 3, 5]), tol=WIDE_BAND)
+
+
+def test_exact_polynomial_beyond_float_range_is_evaluated_exactly(monkeypatch):
+    # A positive scale leaves every sign, and so every verdict, unchanged.
+    T = random_tournament(12, random.Random(12))
+    want = spectrum_of(T, WIDE_BAND)
+    krylov = spectral._krylov_minimal_polynomial
+    calls = []
+
+    def scaled(matrix):
+        p, moments = krylov(matrix)
+        calls.append(p)
+        return [c * 10 ** 400 for c in p], moments
+
+    monkeypatch.setattr(spectral, "_krylov_minimal_polynomial", scaled)
+    got = spectrum_of(T, WIDE_BAND)
+    assert len(calls) == 1 and len(calls[0]) > 2
+    assert [l.main for l in got.lines] == [l.main for l in want.lines]
 
 
 def test_exact_integer_eigenvalue_paley(paley7):
