@@ -192,8 +192,7 @@ def _map_lines(worker, entries: list[tuple[int, Tournament]], tol: Tolerances) -
 def _analyze_worker(T: Tournament, tol: Tolerances) -> dict:
     report = analyze(T, tol)
     out = {"line": T.line()}
-    out.update(report.to_json_dict())
-    out["spectrum"] = report.spectrum
+    out.update(report.to_json_dict(spectrum=report.spectrum))
     if T.n >= 3:
         out["tightness"] = classify_code(T, tol, report=report).to_json_dict()
     return out
@@ -204,8 +203,7 @@ def _embed_worker(T: Tournament, tol: Tolerances) -> dict:
     verdict = verify_embedding(emb, T)
     report = emb.report if emb.report is not None else analyze(T, tol)
     out = {"line": T.line()}
-    out.update(report.to_json_dict())
-    out["spectrum"] = report.spectrum
+    out.update(report.to_json_dict(spectrum=report.spectrum))
     out["dimension"] = emb.dimension
     out["vectors"] = np.asarray(emb.vectors, dtype=np.complex128)
     out["max_deviation"] = float(verdict.max_deviation)
@@ -213,27 +211,175 @@ def _embed_worker(T: Tournament, tol: Tolerances) -> dict:
     return out
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+# The fewest input lines that earn a share, and so a process, of their
+# own: a fork costs a few ms (copy-on-write faults, first-call setup run
+# again in the child), which a smaller share does not win back.
+_MIN_SHARE_LINES = 16
+# Holds the place of the results list's items while the report around
+# them is encoded; no other string of a report contains a NUL.
+_RESULTS_SLOT = "\0"
+
+
+def _share_count(lines: int) -> int:
+    """One share per CPU this process may run on, of _MIN_SHARE_LINES lines or more."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity outside Linux
+        return 1
+    return max(1, min(cpus, lines // _MIN_SHARE_LINES))
+
+
+def _split(entries: list, count: int) -> list[list]:
+    """count contiguous shares of entries, whose sizes differ by at most one;
+    never more shares than entries, and never none."""
+    n = len(entries)
+    count = max(1, min(count, n))
+    return [entries[k * n // count:(k + 1) * n // count] for k in range(count)]
+
+
+def _run_share(worker, encode, entries: list, tol: Tolerances) -> tuple[str, bool]:
+    """The encoded results of one share, and whether every check in it passed."""
+    results = _map_lines(worker, entries, tol)
+    return encode(results), all(r.get("check_passed", True) for r in results)
+
+
+def _fork_share(worker, encode, entries: list, tol: Tolerances):
+    """Run one share in a child process; returns the child's pid and its pipe.
+
+    The child writes one JSON status line, [null, passed] or [error class
+    name, message], then its text, and ends in os._exit, so it never
+    returns into the caller.
+    """
+    import warnings
+
+    read_fd, write_fd = os.pipe()
+    # Python 3.12+ warns on stderr when a process with threads forks, as
+    # this one has when OpenBLAS runs its own thread pool.  OpenBLAS stops
+    # that pool around a fork and starts it again when the child needs it.
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, open(read_fd, encoding="utf-8")
+    code = 1
+    try:
+        os.close(read_fd)
+        text = ""
+        try:
+            text, passed = _run_share(worker, encode, entries, tol)
+            status = [None, passed]
+        except (InputError, InternalConsistencyError) as exc:
+            status = [type(exc).__name__, str(exc)]
+        except Exception as exc:  # reported by the parent, which exits 3
+            status = [InternalConsistencyError.__name__,
+                      f"lines {entries[0][0]}-{entries[-1][0]}: a worker process "
+                      f"raised {type(exc).__name__}: {exc}"]
+        with open(write_fd, "w", encoding="utf-8") as pipe:
+            pipe.write(json.dumps(status) + "\n")
+            pipe.write(text)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _share_passed(pipe) -> bool:
+    """Read a child's status line: whether its checks passed, or raise its error."""
+    try:
+        error, detail = json.loads(pipe.readline())
+    except ValueError:
+        raise InternalConsistencyError("a worker process ended without a report") from None
+    if error == InputError.__name__:
+        raise InputError(detail)
+    if error is not None:
+        raise InternalConsistencyError(detail)
+    return detail
+
+
+def _write_shares(worker, encode, shares: list[list], tol: Tolerances,
+                  head: str, sep: str, tail: str) -> bool:
+    """Write head, the text of every share joined by sep, then tail.
+
+    The first share runs in this process and every other one in a child
+    of its own.  Nothing is written before every share has succeeded; a
+    failure raises the error of the earliest failing share, so of the
+    earliest failing line.  Returns whether every check passed.
+    """
+    children = []
+    try:
+        for entries in shares[1:]:
+            children.append(_fork_share(worker, encode, entries, tol))
+        text, passed = _run_share(worker, encode, shares[0], tol)
+        for _, pipe in children:
+            passed = _share_passed(pipe) and passed
+        sys.stdout.write(head)
+        sys.stdout.write(text)
+        del text
+        while children:
+            pid, pipe = children[0]
+            sys.stdout.write(sep)
+            while block := pipe.read(1 << 16):
+                sys.stdout.write(block)
+            pipe.close()
+            del children[0]
+            if os.waitpid(pid, 0)[1]:
+                raise InternalConsistencyError(f"worker process {pid} failed while writing")
+        sys.stdout.write(tail)
+        return passed
+    finally:
+        for pid, pipe in children:  # still running only when a share failed
+            import signal
+
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _run_batch(args: argparse.Namespace, command: str, worker, tsv_row) -> bool:
+    """Run worker on every input line and write the report; True when
+    every check passed.  The lines are cut into contiguous shares, one per
+    usable CPU, each run and encoded in a process of its own."""
     tol = _tolerances(args)
     text = _read_input(args.input)
     entries = parse_catalog(text.splitlines(), numbered=True)
-    results = _map_lines(_analyze_worker, entries, tol)
-    rows = [[r["line"], r["type"], r["rep_dim"], r["alpha"]["re"], r["alpha"]["im"],
-             r.get("tightness", {}).get("certificate", {}).get("kind", "")]
-            for r in results]
-    _emit(_report("analyze", _digest(text), tol, results), args.format, rows)
+    shares = _split(entries, args.shares or _share_count(len(entries)))
+    if args.format == "json":
+        report = _report(command, _digest(text), tol, [_RESULTS_SLOT] if entries else [])
+        doc = json.dumps(report, sort_keys=True, indent=2, cls=_IndentedEncoder) + "\n"
+        head, _, tail = doc.partition(encode_basestring_ascii(_RESULTS_SLOT))
+        # The results list is a value of the top-level object, so its
+        # items sit at an indent of four spaces.
+        nl = "\n    "
+        sep = "," + nl
+        encoder = _IndentedEncoder()
+
+        def encode(results: list) -> str:
+            return sep.join([encoder._encode(r, nl) for r in results])
+    else:
+        head = sep = tail = ""
+
+        def encode(results: list) -> str:
+            return "".join(["\t".join([str(cell) for cell in tsv_row(r)]) + "\n"
+                            for r in results])
+    return _write_shares(worker, encode, shares, tol, head, sep, tail)
+
+
+def cmd_analyze(args: argparse.Namespace) -> int:
+    _run_batch(args, "analyze", _analyze_worker, lambda r: [
+        r["line"], r["type"], r["rep_dim"], r["alpha"]["re"], r["alpha"]["im"],
+        r.get("tightness", {}).get("certificate", {}).get("kind", "")])
     return EXIT_OK
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
-    tol = _tolerances(args)
-    text = _read_input(args.input)
-    entries = parse_catalog(text.splitlines(), numbered=True)
-    results = _map_lines(_embed_worker, entries, tol)
-    rows = [[r["line"], r["dimension"], f"{r['max_deviation']:.3e}", r["check_passed"]]
-            for r in results]
-    _emit(_report("embed", _digest(text), tol, results), args.format, rows)
-    if args.check and not all(r["check_passed"] for r in results):
+    passed = _run_batch(args, "embed", _embed_worker, lambda r: [
+        r["line"], r["dimension"], f"{r['max_deviation']:.3e}", r["check_passed"]])
+    if args.check and not passed:
         sys.stderr.write("embedding verification failed\n")
         return EXIT_INTERNAL
     return EXIT_OK
@@ -510,9 +656,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def main(argv=None, *, _shares: int | None = None) -> int:
+    """Run the command line argv; returns the exit code.
+
+    _shares, when given, is how many processes analyze and embed split
+    their lines over, in place of one per usable CPU.
+    """
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(argv, argparse.Namespace(shares=_shares))
     try:
         return args.fn(args)
     except InputError as exc:

@@ -11,7 +11,6 @@ tournament whose squared Seidel matrix is diag(kI + lJ, kI + lJ).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,8 +22,6 @@ from .spectral import DEFAULT_TOLERANCES, Tolerances, spectrum_of
 from .tournament import (Tournament, add_vertex, adjacency, canonical_form,
                          dominated_extension, enumerate_tournaments, parse_catalog,
                          paley_tournament, seidel_squared, switching_class)
-
-log = logging.getLogger(__name__)
 
 BUILTIN_CATALOG_ORDERS = (3, 7, 11)
 
@@ -127,7 +124,8 @@ def block_form_check(T: Tournament) -> BlockFormCert | None:
     if not support.any():
         # l = 0 would collapse the two blocks into a scalar matrix; that is
         # the skew Hadamard regime, not a block form.
-        log.debug("block form rejected: S^2 is a scalar matrix (l = 0)")
+        import logging  # only here: importing it costs every run several ms
+        logging.getLogger(__name__).debug("block form rejected: S^2 is a scalar matrix (l = 0)")
         return None
     # In a block form, row 0 of S^2 is nonzero exactly on vertex 0's block.
     first = np.flatnonzero(S2[0])

@@ -67,13 +67,19 @@ class RepReport:
     spectrum: Spectrum
     tournament: Tournament | None = field(default=None, compare=False, repr=False)
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, *, spectrum=None) -> dict:
+        """The report as JSON values.
+
+        spectrum, when given, goes under "spectrum" in place of the list
+        of eigenvalue rows, which is then not built.
+        """
         out = {
             "n": self.n,
             "type": int(self.type_class.variant),
             "rep_dim": self.rep_dim,
             "alpha": {"re": float(self.alpha.real), "im": float(self.alpha.imag)},
-            "spectrum": self.spectrum.to_json_dict()["eigenvalues"],
+            "spectrum": (self.spectrum.to_json_dict()["eigenvalues"] if spectrum is None
+                         else spectrum),
         }
         if self.type_class.c1 is not None:
             out["c1"] = float(self.type_class.c1)

@@ -8,17 +8,13 @@ supports an exact-arithmetic cross-check of borderline main-angle zeros.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import InputError, InternalConsistencyError
 from .tournament import Tournament, adjacency, seidel_squared
-
-log = logging.getLogger(__name__)
 
 HERMITIAN_TOL = 1e-12
 EIG_RESIDUAL_FACTOR = 1e-9
@@ -146,6 +142,8 @@ def _krylov_minimal_polynomial(matrix) -> tuple[list[Fraction], list[int]]:
     Returns (c, s): c[k] is the coefficient of x^k, with leading
     coefficient 1, and s[k] = j^T M^k j for k = 0..deg.
     """
+    from fractions import Fraction  # the exact route alone needs it
+
     rows = [[int(x) for x in row] for row in np.asarray(matrix)]
     n = len(rows)
     v = [1] * n
@@ -173,6 +171,8 @@ def _krylov_minimal_polynomial(matrix) -> tuple[list[Fraction], list[int]]:
 
 
 def _horner(coeffs: list[Fraction], x: Fraction) -> Fraction:
+    from fractions import Fraction
+
     acc = Fraction(0)
     for c in reversed(coeffs):
         acc = acc * x + c
@@ -181,6 +181,8 @@ def _horner(coeffs: list[Fraction], x: Fraction) -> Fraction:
 
 def exact_integer_eigenvalue(matrix, value: int) -> bool:
     """Whether an integer is exactly an eigenvalue of an integer matrix."""
+    from fractions import Fraction
+
     rows = [[Fraction(int(x)) for x in row] for row in np.asarray(matrix)]
     n = len(rows)
     if any(len(row) != n for row in rows):
@@ -208,6 +210,8 @@ def exact_ones_resolvent(matrix, shift: int) -> Fraction | None:
     if it is an eigenvalue of M on the orthogonal complement; returns
     None at a pole (shift seen by j).
     """
+    from fractions import Fraction
+
     p, moments = _krylov_minimal_polynomial(matrix)
     k = Fraction(shift)
     pk = _horner(p, k)
@@ -231,6 +235,8 @@ def _resolve_mainness(taus, betas, s2, tol: Tolerances, cluster_tol: float) -> l
     ambiguous = [tol.beta_exact_lo <= b <= tol.beta_exact_hi for b in betas]
     if s2 is None or not any(ambiguous):
         return [b > tol.beta_zero for b in betas]
+    from fractions import Fraction
+
     p, _ = _krylov_minimal_polynomial(s2)
     # Each line gets the bracket [tau^2 - h, tau^2 + h]: clustering takes a
     # float tau to be within cluster_tol of its true value, and squaring
@@ -381,6 +387,8 @@ def char_identity_residual(H, a: float, x_samples,
         residual = abs(p_m - p_h * correction) / (1.0 + abs(p_h))
         max_residual = max(max_residual, residual)
         evaluated += 1
+    import logging  # only here: importing it costs every run several ms
+    log = logging.getLogger(__name__)
     if evaluated:
         log.debug("characteristic identity residual %.3e over %d samples",
                   max_residual, evaluated)

@@ -7,8 +7,10 @@ import json
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ from tourney_codes import (DEFAULT_TOLERANCES, Embedding, InternalConsistencyErr
                            delete_vertex, dominated_extension, embed, paley_tournament,
                            parse_line, random_tournament, verify_embedding)
 from tourney_codes.spectral import SpectralLine, Spectrum
+from tourney_codes import cli
 from tourney_codes.cli import ORDER4_LINES, _check_embed_all, _IndentedEncoder, main
 
 
@@ -248,11 +251,14 @@ def test_verify_paper_fails_under_absurd_tolerance(capsys):
 def test_import_leaves_the_process_pool_unloaded():
     src = str(Path(tourney_codes.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
+    # logging, fractions and decimal cost every run several ms to import;
+    # only the rarely taken paths that use them import them.
     code = ("import sys, tourney_codes.cli; "
-            "print('concurrent.futures.process' in sys.modules)")
+            "print([m for m in ('concurrent.futures.process', 'multiprocessing', "
+            "'logging', 'fractions', 'decimal') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
-    assert out == "False\n"
+    assert out == "[]\n"
 
 
 def test_exported_functions_are_plain_functions():
@@ -410,3 +416,182 @@ def test_spectrum_rows_match_the_dict_form(rows):
     want = spec.to_json_dict()["eigenvalues"]
     for wrap in (lambda x: x, lambda x: {"results": [{"line": "x", "spectrum": x}]}):
         assert indented(wrap(spec)) == json.dumps(wrap(want), sort_keys=True, indent=2)
+
+
+# ------------------------------------------------- batches split over processes
+
+
+def run_shares(capsys, monkeypatch, shares, text, *argv):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    rc = main([*argv, "-"], _shares=shares)
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def share_batch():
+    rng = random.Random(77)
+    P7 = paley_tournament(7)
+    tournaments = [parse_line(line) for line in ORDER4_LINES + ("2:1",)]
+    tournaments += [P7, dominated_extension(P7), delete_vertex(paley_tournament(11), 4)]
+    tournaments += [random_tournament(n, rng) for n in (20, 20, 9)]
+    return "".join(T.line() + "\n" for T in tournaments)
+
+
+@pytest.mark.parametrize("command", ["analyze", "embed"])
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_shares_write_the_serial_bytes(capsys, monkeypatch, command, fmt):
+    text = share_batch()
+    serial = run_shares(capsys, monkeypatch, 1, text, command, "--format", fmt)
+    assert serial[0] == 0 and serial[1] and serial[2] == ""
+    # 40 shares is more than the 11 lines: one line per process
+    for shares in (2, 3, 40):
+        assert run_shares(capsys, monkeypatch, shares, text, command, "--format", fmt) == serial
+    empty = run_shares(capsys, monkeypatch, 1, "", command, "--format", fmt)
+    assert empty == run_shares(capsys, monkeypatch, 3, "", command, "--format", fmt)
+    assert empty[1] == ("" if fmt == "tsv" else
+                        json.dumps(envelope(command, "", []), sort_keys=True, indent=2) + "\n")
+    assert no_child_left()
+
+
+def test_embed_check_fails_when_only_a_later_share_fails(capsys, monkeypatch):
+    text = share_batch()
+    last = text.splitlines()[-1]
+
+    def corrupt_last(T, tol):
+        if T.line() != last:
+            return embed(T, tol)
+        return Embedding(2, np.zeros((T.n, 2), dtype=complex), 0.5j)
+
+    monkeypatch.setattr("tourney_codes.cli.embed", corrupt_last)
+    rc, out, err = run_shares(capsys, monkeypatch, 3, text, "embed", "--check")
+    assert (rc, err) == (3, "embedding verification failed\n")
+    passed = [r["check_passed"] for r in json.loads(out)["results"]]
+    assert passed == [True] * (len(passed) - 1) + [False]
+    assert run_shares(capsys, monkeypatch, 1, text, "embed", "--check") == (rc, out, err)
+
+
+@pytest.mark.parametrize("bad", [(0,), (-1,), (4, -1), (0, 5, -1)],
+                         ids=["first-share", "last-share", "two-shares", "three-shares"])
+@pytest.mark.parametrize("error", ["input", "internal"])
+def test_share_errors_match_the_serial_run(capsys, monkeypatch, bad, error):
+    lines = share_batch().splitlines()
+    bad_lines = {lines[k] for k in bad}
+    if error == "input":
+        for k in bad:
+            lines[k] = "1:"
+    else:
+        def broken(T, tol):
+            if T.line() in bad_lines:
+                raise InternalConsistencyError("routes disagree")
+            return analyze(T, tol)
+
+        monkeypatch.setattr("tourney_codes.cli.analyze", broken)
+    text = "\n".join(lines) + "\n"
+    rc, out, err = run_shares(capsys, monkeypatch, 1, text, "analyze")
+    assert rc == (2 if error == "input" else 3) and out == ""
+    assert err.startswith(f"{error} ") and f"line {bad[0] % len(lines) + 1}: " in err
+    assert run_shares(capsys, monkeypatch, 3, text, "analyze") == (rc, out, err)
+    assert no_child_left()
+
+
+@pytest.mark.parametrize("failure", ["raise", "die"])
+def test_a_failing_child_share_writes_nothing(capsys, monkeypatch, failure):
+    text = share_batch()
+    last = text.splitlines()[-1]
+    parent = os.getpid()
+
+    def broken(T, tol):
+        if T.line() == last and os.getpid() != parent:
+            if failure == "raise":
+                raise RuntimeError("worker bug")
+            os.kill(os.getpid(), signal.SIGKILL)
+        return analyze(T, tol)
+
+    monkeypatch.setattr("tourney_codes.cli.analyze", broken)
+    rc, out, err = run_shares(capsys, monkeypatch, 2, text, "analyze")
+    assert rc != 0 and out == ""
+    assert ("RuntimeError: worker bug" if failure == "raise" else "without a report") in err
+    assert no_child_left()
+
+
+def test_small_batches_do_not_fork(capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    rng = random.Random(5)
+    text = "".join(random_tournament(8, rng).line() + "\n"
+                   for _ in range(2 * cli._MIN_SHARE_LINES - 1))
+    for command in ("analyze", "embed"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert run_cli(capsys, command, "-")[0] == 0
+        assert run_cli(capsys, command, "4:111010")[0] == 0
+
+
+def test_fork_warning_of_threaded_pythons_stays_off_stderr(capsys, monkeypatch):
+    # Python 3.12+ warns in os.fork when the process has threads, as it
+    # does with OpenBLAS's default thread pool; stand in for that warning.
+    real_fork = os.fork
+
+    def warning_fork():
+        warnings.warn("This process is multi-threaded, use of fork() may lead to "
+                      "deadlocks in the child.", DeprecationWarning, stacklevel=2)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    text = share_batch()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run_shares(capsys, monkeypatch, 2, text, "analyze")
+    assert (rc, err, caught) == (0, "", [])
+    monkeypatch.setattr(os, "fork", real_fork)
+    assert run_shares(capsys, monkeypatch, 1, text, "analyze") == (rc, out, err)
+
+
+def test_embed_forks_under_default_blas_threading(tmp_path):
+    # No OPENBLAS_NUM_THREADS: the children start from a process whose BLAS
+    # has its own threads, and a BLAS that does not survive fork hangs here.
+    rng = random.Random(64)
+    path = tmp_path / "batch.txt"
+    path.write_text("".join(random_tournament(20, rng).line() + "\n" for _ in range(64)))
+    src = str(Path(tourney_codes.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = src
+    code = ("import sys; from tourney_codes.cli import main; "
+            "sys.exit(main(sys.argv[2:], _shares=int(sys.argv[1])))")
+    outputs = [subprocess.run([sys.executable, "-c", code, str(shares), "embed", str(path)],
+                              env=env, capture_output=True, timeout=120)
+               for shares in (1, 2)]
+    outputs.append(subprocess.run([sys.executable, "-m", "tourney_codes.cli", "embed",
+                                   str(path)], env=env, capture_output=True, timeout=120))
+    assert [(p.returncode, p.stderr) for p in outputs] == [(0, b"")] * 3
+    assert outputs[0].stdout == outputs[1].stdout == outputs[2].stdout
+
+
+def test_workers_leave_the_spectrum_rows_unbuilt(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("spectrum rows built")
+
+    monkeypatch.setattr(Spectrum, "to_json_dict", refuse)
+    for command in ("analyze", "embed"):
+        assert run_cli(capsys, command, "3:101")[0] == 0
+
+
+def test_a_failed_fork_leaks_no_pipe(capsys, monkeypatch):
+    def no_process():
+        raise BlockingIOError("fork refused")
+
+    monkeypatch.setattr(os, "fork", no_process)
+    monkeypatch.setattr("sys.stdin", io.StringIO(share_batch()))
+    open_fds = sorted(os.listdir("/proc/self/fd"))
+    with pytest.raises(BlockingIOError):
+        main(["analyze", "-"], _shares=2)
+    assert sorted(os.listdir("/proc/self/fd")) == open_fds
+    assert capsys.readouterr().out == ""
