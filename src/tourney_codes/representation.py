@@ -18,7 +18,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import InputError, InternalConsistencyError
-from .spectral import (DEFAULT_TOLERANCES, Spectrum, Tolerances, eigensystem,
+from .spectral import (DEFAULT_TOLERANCES, Spectrum, Tolerances, cluster, eigensystem,
                        exact_integer_eigenvalue, exact_ones_resolvent, group_spectrum,
                        seidel_matrix)
 from .tournament import Tournament, adjacency, pair_bits, seidel_squared, upper_pairs
@@ -307,10 +307,7 @@ def multiplicity_profile(T: Tournament, a_values,
         a = float(a)
         w = np.linalg.eigvalsh(a * J + S)
         gap_tol = tol.cluster_gap_factor * max(1.0, float(np.abs(w).max()))
-        mult = 1
-        while mult < len(w) and w[mult] - w[mult - 1] < gap_tol:
-            mult += 1
-        out.append((a, mult))
+        out.append((a, len(cluster(w.tolist(), gap_tol)[0])))
     return out
 
 

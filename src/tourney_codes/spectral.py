@@ -125,7 +125,8 @@ def eigensystem(H, hermitian_tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np
     return w, V
 
 
-def _cluster(w: list[float], gap_tol: float) -> list[list[int]]:
+def cluster(w: list[float], gap_tol: float) -> list[list[int]]:
+    """Indices of ascending w in chains whose consecutive gaps are below gap_tol."""
     clusters = [[0]]
     for k in range(1, len(w)):
         if w[k] - w[k - 1] < gap_tol:
@@ -135,45 +136,59 @@ def _cluster(w: list[float], gap_tol: float) -> list[list[int]]:
     return clusters
 
 
-def _krylov_minimal_polynomial(matrix) -> tuple[list[Fraction], list[int]]:
-    """Monic minimal polynomial of an integer matrix M on the cyclic space of
-    the all-ones vector j, computed exactly over the rationals.
+def _integer_rows(matrix) -> list[list[int]]:
+    """The rows of a square integer matrix as Python ints, or InputError."""
+    try:
+        M = np.asarray(matrix)
+        values = M.tolist()
+        rows = [[int(x) for x in row] for row in values] if M.ndim == 2 else None
+    except (TypeError, ValueError, OverflowError):
+        rows = None
+    if rows is None or rows != values or M.shape[0] != M.shape[1]:
+        raise InputError("exact arithmetic needs a square matrix of integers")
+    return rows
 
-    Returns (c, s): c[k] is the coefficient of x^k, with leading
-    coefficient 1, and s[k] = j^T M^k j for k = 0..deg.
-    """
-    from fractions import Fraction  # the exact route alone needs it
 
-    rows = [[int(x) for x in row] for row in np.asarray(matrix)]
-    n = len(rows)
-    v = [1] * n
+def _first_dependency(vectors, width: int) -> list[int] | None:
+    """Integers c_0..c_m, c_m != 0, with sum c_i v_i = 0 for the first v_m
+    that depends on the vectors before it, or None: fraction-free (Bareiss)
+    elimination with width coefficient columns, each division exact."""
+    echelon: list[tuple[int, list[int]]] = []
+    for m, v in enumerate(vectors):
+        n = len(v)
+        row = list(v) + [0] * width
+        row[n + m] = 1
+        prev = 1
+        for col, pivot in echelon:
+            d, c = pivot[col], row[col]
+            row = [(d * a - c * b) // prev for a, b in zip(row, pivot)]
+            prev = d
+        col = next((i for i in range(n) if row[i]), None)
+        if col is None:
+            return row[n:n + m + 1]
+        echelon.append((col, row))
+    return None
+
+
+def _krylov_minimal_polynomial(matrix) -> tuple[list[int], list[int]]:
+    """Minimal polynomial, up to a nonzero integer factor, of an integer
+    matrix M on the cyclic space of the all-ones vector j: (c, s) with c[k]
+    the coefficient of x^k and s[k] = j^T M^k j for k = 0..deg."""
+    rows = _integer_rows(matrix)
     moments = []
-    echelon: list[tuple[int, list[Fraction], list[Fraction]]] = []
-    k = 0
-    while True:
-        moments.append(sum(v))
-        vec = [Fraction(x) for x in v]
-        expr = [Fraction(0)] * (k + 1)
-        expr[k] = Fraction(1)
-        for pivot, rvec, rexpr in echelon:
-            c = vec[pivot]
-            if c:
-                vec = [a - c * b for a, b in zip(vec, rvec)]
-                expr = [a - c * (rexpr[i] if i < len(rexpr) else Fraction(0))
-                        for i, a in enumerate(expr)]
-        pivot = next((i for i, x in enumerate(vec) if x), None)
-        if pivot is None:
-            return expr, moments
-        inv = Fraction(1) / vec[pivot]
-        echelon.append((pivot, [x * inv for x in vec], [x * inv for x in expr]))
-        v = [sum(rows[i][t] * v[t] for t in range(n)) for i in range(n)]
-        k += 1
+
+    def powers():
+        v = [1] * len(rows)
+        while True:
+            moments.append(sum(v))
+            yield v
+            v = [sum(a * b for a, b in zip(row, v)) for row in rows]
+
+    return _first_dependency(powers(), len(rows) + 1), moments
 
 
-def _horner(coeffs: list[Fraction], x: Fraction) -> Fraction:
-    from fractions import Fraction
-
-    acc = Fraction(0)
+def _horner(coeffs, x):
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
@@ -181,25 +196,12 @@ def _horner(coeffs: list[Fraction], x: Fraction) -> Fraction:
 
 def exact_integer_eigenvalue(matrix, value: int) -> bool:
     """Whether an integer is exactly an eigenvalue of an integer matrix."""
-    from fractions import Fraction
-
-    rows = [[Fraction(int(x)) for x in row] for row in np.asarray(matrix)]
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise InputError("eigenvalue test needs a square matrix")
-    for i in range(n):
-        rows[i][i] -= value
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot is None:
-            return True
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = Fraction(1) / rows[col][col]
-        for r in range(col + 1, n):
-            c = rows[r][col] * inv
-            if c:
-                rows[r] = [a - c * b for a, b in zip(rows[r], rows[col])]
-    return False
+    rows = _integer_rows(matrix)
+    if value != int(value):
+        return False  # every rational eigenvalue of an integer matrix is an integer
+    for i, row in enumerate(rows):
+        row[i] -= int(value)
+    return _first_dependency(rows, len(rows)) is not None
 
 
 def exact_ones_resolvent(matrix, shift: int) -> Fraction | None:
@@ -308,7 +310,7 @@ def group_spectrum(eigenvalues, eigenvectors, j_vector=None, *,
     radius = max(1.0, float(np.abs(w).max()))
     gap_tol = tol.cluster_gap_factor * radius
     wl = w.tolist()
-    clusters = _cluster(wl, gap_tol)
+    clusters = cluster(wl, gap_tol)
 
     warnings = []
     for a, b in zip(clusters, clusters[1:]):

@@ -206,7 +206,7 @@ def _group_spectrum_reference(eigenvalues, eigenvectors, j_vector=None, *,
 
     radius = max(1.0, float(np.abs(w).max()))
     gap_tol = tol.cluster_gap_factor * radius
-    clusters = spectral._cluster(w, gap_tol)
+    clusters = spectral.cluster(w, gap_tol)
 
     warnings = []
     for a, b in zip(clusters, clusters[1:]):
@@ -458,6 +458,165 @@ def test_boundary_tournaments_have_exact_zero_resolvent(line):
     # there is what pins c2 to exactly zero.
     s2 = seidel_squared(parse_line(line))
     assert exact_ones_resolvent(s2, 3) == Fraction(0)
+
+
+@pytest.mark.parametrize("matrix", [
+    [[1, 2, 3], [4, 5, 6]],   # not square
+    [[1, 2], [3, 4], [5, 6]],
+    [[1, 2], [3]],            # ragged
+    [1, 2],                   # not 2-D
+    [[0.5, 1], [1, 0]],       # non-integral, not to be truncated to a pole
+    [[1, "2"], [3, 4]],
+])
+def test_exact_helpers_refuse_malformed_matrices(matrix):
+    with pytest.raises(InputError, match="square matrix of integers"):
+        exact_ones_resolvent(matrix, 1)
+    with pytest.raises(InputError, match="square matrix of integers"):
+        exact_integer_eigenvalue(matrix, 1)
+    with pytest.raises(InputError, match="square matrix of integers"):
+        group_spectrum([-1.0, 1.0], np.eye(2), exact_s2=matrix, tol=WIDE_BAND)
+
+
+def test_exact_helpers_keep_square_integer_answers():
+    empty = np.zeros((0, 0), dtype=int)
+    assert exact_ones_resolvent(empty, 1) == 0
+    assert not exact_integer_eigenvalue(empty, 0)
+    assert exact_ones_resolvent([[1, 2], [3, 4]], 1.5) == Fraction(12, 29)
+    assert exact_ones_resolvent([[2.0, 0], [0, 2]], 1) == Fraction(2)
+    big = np.array([[10 ** 30]], dtype=object)
+    assert exact_ones_resolvent(big, 0) == Fraction(1, 10 ** 30)
+    assert not exact_integer_eigenvalue([[1, 0], [0, 2]], 1.5)
+    assert type(exact_ones_resolvent([[3]], 1)) is Fraction
+
+
+def _krylov_by_fractions(matrix):
+    """The Krylov polynomial by elimination over Fraction, kept as the reference."""
+    rows = [[int(x) for x in row] for row in np.asarray(matrix)]
+    n = len(rows)
+    v = [1] * n
+    moments = []
+    echelon = []
+    k = 0
+    while True:
+        moments.append(sum(v))
+        vec = [Fraction(x) for x in v]
+        expr = [Fraction(0)] * (k + 1)
+        expr[k] = Fraction(1)
+        for pivot, rvec, rexpr in echelon:
+            c = vec[pivot]
+            if c:
+                vec = [a - c * b for a, b in zip(vec, rvec)]
+                expr = [a - c * (rexpr[i] if i < len(rexpr) else Fraction(0))
+                        for i, a in enumerate(expr)]
+        pivot = next((i for i, x in enumerate(vec) if x), None)
+        if pivot is None:
+            return expr, moments
+        inv = Fraction(1) / vec[pivot]
+        echelon.append((pivot, [x * inv for x in vec], [x * inv for x in expr]))
+        v = [sum(rows[i][t] * v[t] for t in range(n)) for i in range(n)]
+        k += 1
+
+
+def _eigenvalue_by_fractions(matrix, value):
+    """exact_integer_eigenvalue by elimination over Fraction, kept as the reference."""
+    rows = [[Fraction(int(x)) for x in row] for row in np.asarray(matrix)]
+    n = len(rows)
+    for i in range(n):
+        rows[i][i] -= value
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot is None:
+            return True
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = Fraction(1) / rows[col][col]
+        for r in range(col + 1, n):
+            c = rows[r][col] * inv
+            if c:
+                rows[r] = [a - c * b for a, b in zip(rows[r], rows[col])]
+    return False
+
+
+def _integer_matrices():
+    """Seeded integer matrices with n <= 10: symmetric and not, each with and
+    without a row forced dependent, and the zero, 1x1 and 0x0 matrices."""
+    rng = random.Random(10)
+    out = [np.zeros((0, 0), dtype=int), np.zeros((4, 4), dtype=int),
+           np.array([[0]]), np.array([[5]]), np.array([[-3]])]
+    for n in range(1, 11):
+        for symmetric in (False, True):
+            for singular in (False, True):
+                M = np.array([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+                if symmetric:
+                    M = np.triu(M) + np.triu(M, 1).T
+                if singular and n > 1:
+                    # E's last row combines the rows before it, so E M and
+                    # the symmetric E M E^T are singular.
+                    E = np.eye(n, dtype=int)
+                    E[-1] = 0
+                    E[-1, 0] = rng.choice((-2, -1, 1, 2))
+                    E[-1, (n - 1) // 2] += rng.choice((-1, 1))
+                    M = E @ M @ E.T if symmetric else E @ M
+                out.append(M)
+    return out
+
+
+def _tournament_squares(classes_by_order):
+    """S^2 of every class with n <= 7, of Paley q <= 23 with its dominated
+    extension and one deleted vertex, and of random tournaments up to n=32."""
+    cases = [T for n in range(2, 8) for T in classes_by_order[n]]
+    for q in (3, 7, 11, 19, 23):
+        P = paley_tournament(q)
+        cases += [P, dominated_extension(P), delete_vertex(P, 0)]
+    rng = random.Random(1968)
+    cases += [random_tournament(n, rng) for n in (8, 16, 24, 32)]
+    return [seidel_squared(T) for T in cases]
+
+
+def test_krylov_polynomial_and_resolvents_match_fraction_reference(classes_by_order,
+                                                                   monkeypatch):
+    shifts = [-1, 0, 1, 2, 3, 7, Fraction(3, 2)]
+    poles = 0
+    for M in _integer_matrices() + _tournament_squares(classes_by_order):
+        p, moments = spectral._krylov_minimal_polynomial(M)
+        want, want_moments = _krylov_by_fractions(M)
+        assert all(type(c) is int for c in p) and p[-1] != 0
+        assert [Fraction(c, p[-1]) for c in p] == want
+        assert moments == want_moments
+        got = [exact_ones_resolvent(M, k) for k in shifts]
+        with monkeypatch.context() as patched:
+            patched.setattr(spectral, "_krylov_minimal_polynomial",
+                            lambda _: (want, want_moments))
+            assert got == [exact_ones_resolvent(M, k) for k in shifts]
+        poles += got.count(None)
+    assert poles > 100
+
+
+def test_eigenvalue_verdicts_match_fraction_reference():
+    hits = 0
+    for M in _integer_matrices():
+        # Every eigenvalue lies within the largest absolute row sum.
+        r = int(np.abs(M).sum(axis=1).max(initial=0))
+        for k in range(-r - 1, r + 2):
+            got = exact_integer_eigenvalue(M, k)
+            assert got == _eigenvalue_by_fractions(M, k), (M, k)
+            hits += got
+    assert hits > 20
+
+
+def test_eigenvalue_verdicts_on_tournament_squares_match_fraction_reference(
+        classes_by_order):
+    # S^2 is symmetric with spectrum in [0, w[-1]].  Only an integer within
+    # 1/2 of a floating eigenvalue can be one, so the slow reference runs
+    # there, and every other integer of the range must be refused.
+    hits = 0
+    for M in _tournament_squares(classes_by_order):
+        w = np.linalg.eigvalsh(M.astype(float))
+        near = {round(x) for x in w.tolist()}
+        for k in range(-1, math.ceil(w[-1]) + 2):
+            got = exact_integer_eigenvalue(M, k)
+            assert got == (_eigenvalue_by_fractions(M, k) if k in near else False), (M, k)
+            hits += got
+    assert hits > 500
 
 
 # ------------------------------------------------- characteristic identity
