@@ -18,7 +18,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import InputError, InternalConsistencyError
-from .spectral import (DEFAULT_TOLERANCES, Spectrum, Tolerances, cluster, eigensystem,
+from .spectral import (DEFAULT_TOLERANCES, Spectrum, Tolerances, eigensystem,
                        exact_integer_eigenvalue, exact_ones_resolvent, group_spectrum,
                        seidel_matrix)
 from .tournament import Tournament, adjacency, pair_bits, seidel_squared, upper_pairs
@@ -218,14 +218,6 @@ def analyze(T: Tournament, tol: Tolerances = DEFAULT_TOLERANCES) -> RepReport:
     return RepReport(T.n, tc, rep, alpha, spectrum, T)
 
 
-def rep_dimension(T: Tournament, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
-    return analyze(T, tol).rep_dim
-
-
-def optimal_alpha(T: Tournament, tol: Tolerances = DEFAULT_TOLERANCES) -> complex:
-    return analyze(T, tol).alpha
-
-
 def gram_matrix(T: Tournament, alpha: complex, expected_rank: int | None = None) -> np.ndarray:
     """G = I + alpha A + conj(alpha) A^T.
 
@@ -295,28 +287,3 @@ def verify_embedding(emb: Embedding, T: Tournament, tol: float = EMBED_TOL) -> E
         # np.abs on an array can differ from it in the last bit.
         deviation = max(deviation, float(np.hypot(d.real, d.imag).max()))
     return EmbeddingVerdict(deviation <= tol, deviation)
-
-
-def multiplicity_profile(T: Tournament, a_values,
-                         tol: Tolerances = DEFAULT_TOLERANCES) -> list[tuple[float, int]]:
-    """Multiplicity of the smallest eigenvalue of aJ + S for each shift a."""
-    S = seidel_matrix(T)
-    J = np.ones((T.n, T.n))
-    out = []
-    for a in a_values:
-        a = float(a)
-        w = np.linalg.eigvalsh(a * J + S)
-        gap_tol = tol.cluster_gap_factor * max(1.0, float(np.abs(w).max()))
-        out.append((a, len(cluster(w.tolist(), gap_tol)[0])))
-    return out
-
-
-def witness_shift(report: RepReport) -> float:
-    """The shift a at which aJ + S attains the maximum smallest-eigenvalue
-    multiplicity n - rep_dim."""
-    tc = report.type_class
-    if tc.variant is TypeVariant.TYPE1:
-        return -1.0 / tc.c1
-    if tc.variant is TypeVariant.TYPE3:
-        return -1.0 / tc.c2
-    return 0.0

@@ -1,9 +1,11 @@
-"""Hermitian eigenanalysis, main angles, and rank-one shift identities.
+"""Hermitian eigenanalysis and main angles.
 
 The Seidel matrix of a tournament is S = sqrt(-1) (A - A^T).  Everything
 here works on Hermitian matrices in general, with one tournament-specific
 extra: for Seidel matrices the square S^2 is an integer matrix, which
 supports an exact-arithmetic cross-check of borderline main-angle zeros.
+The rank-one shift identities are in _shifts, which the package loads on
+first use.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ CLUSTER_GAP_FACTOR = 1e-7
 BETA_ZERO_TOL = 1e-6
 BETA_EXACT_BAND = (1e-9, 1e-3)
 SUM_BETA_SQ_TOL = 1e-8
-INTERLACING_SLACK = 1e-7
 
 
 @dataclass(frozen=True)
@@ -152,12 +153,14 @@ def _integer_rows(matrix) -> list[list[int]]:
 def _first_dependency(vectors, width: int) -> list[int] | None:
     """Integers c_0..c_m, c_m != 0, with sum c_i v_i = 0 for the first v_m
     that depends on the vectors before it, or None: fraction-free (Bareiss)
-    elimination with width coefficient columns, each division exact."""
+    elimination with width coefficient columns, each division exact.  With
+    width 0 a dependency gives [], so only whether one exists is known."""
     echelon: list[tuple[int, list[int]]] = []
     for m, v in enumerate(vectors):
         n = len(v)
         row = list(v) + [0] * width
-        row[n + m] = 1
+        if width:
+            row[n + m] = 1
         prev = 1
         for col, pivot in echelon:
             d, c = pivot[col], row[col]
@@ -201,7 +204,7 @@ def exact_integer_eigenvalue(matrix, value: int) -> bool:
         return False  # every rational eigenvalue of an integer matrix is an integer
     for i, row in enumerate(rows):
         row[i] -= int(value)
-    return _first_dependency(rows, len(rows)) is not None
+    return _first_dependency(rows, 0) is not None
 
 
 def exact_ones_resolvent(matrix, shift: int) -> Fraction | None:
@@ -346,104 +349,3 @@ def spectrum_of(T: Tournament, tol: Tolerances = DEFAULT_TOLERANCES) -> Spectrum
     """Grouped Seidel spectrum of a tournament, with the exact cross-check wired in."""
     w, V = eigensystem(seidel_matrix(T))
     return group_spectrum(w, V, exact_s2=seidel_squared(T), tol=tol)
-
-
-@dataclass(frozen=True)
-class CharIdentityResult:
-    """Worst relative defect of the rank-one-shift characteristic identity."""
-
-    max_residual: float
-    evaluated: int
-    skipped: tuple[float, ...]
-
-
-def char_identity_residual(H, a: float, x_samples,
-                           tol: Tolerances = DEFAULT_TOLERANCES) -> CharIdentityResult:
-    """Check det(M - xI) = det(H - xI) (1 + a sum_i n beta_i^2 / (tau_i - x))
-    for M = H + aJ at the given sample points.
-
-    Both characteristic polynomials are evaluated as products over
-    independently computed eigenvalues.  Samples closer to an eigenvalue
-    of H than the skip tolerance are skipped and reported.
-    """
-    w_h, V = eigensystem(H)
-    n = len(w_h)
-    spec = group_spectrum(w_h, V, tol=tol)
-    M = np.asarray(H, dtype=np.complex128) + a * np.ones((n, n))
-    w_m, _ = eigensystem(M)
-
-    radius = max(1.0, float(np.abs(w_h).max()))
-    skip_tol = 1e-6 * radius
-    max_residual = 0.0
-    evaluated = 0
-    skipped = []
-    for x in x_samples:
-        x = float(x)
-        if float(np.abs(w_h - x).min()) <= skip_tol:
-            skipped.append(x)
-            continue
-        p_h = float(np.prod(w_h - x))
-        p_m = float(np.prod(w_m - x))
-        correction = 1.0 + a * sum(
-            n * line.beta ** 2 / (line.tau - x) for line in spec.lines)
-        residual = abs(p_m - p_h * correction) / (1.0 + abs(p_h))
-        max_residual = max(max_residual, residual)
-        evaluated += 1
-    import logging  # only here: importing it costs every run several ms
-    log = logging.getLogger(__name__)
-    if evaluated:
-        log.debug("characteristic identity residual %.3e over %d samples",
-                  max_residual, evaluated)
-    for x in skipped:
-        log.debug("sample %g skipped: too close to an eigenvalue", x)
-    return CharIdentityResult(max_residual, evaluated, tuple(skipped))
-
-
-@dataclass(frozen=True)
-class InterlacingVerdict:
-    """Main-eigenvalue count comparison and strict interlacing check."""
-
-    main_count_h: int
-    main_count_m: int
-    ok: bool
-    violations: tuple[str, ...]
-
-
-def shifted_main_spectrum(H, a: float, tol: Tolerances = DEFAULT_TOLERANCES
-                          ) -> tuple[MainSpectrum, InterlacingVerdict]:
-    """Main spectrum of M = H + aJ and its interlacing verdict against H.
-
-    For a > 0 the main eigenvalues must satisfy tau_1 < mu_1 < tau_2 < ...
-    < tau_r < mu_r; for a < 0 the mu come first.  A pair that should read
-    lo < hi is recorded as a violation only when lo exceeds hi by more than
-    INTERLACING_SLACK, so lo == hi passes.  Demanding a gap instead would
-    flag true strict interlacing: a main eigenvalue whose beta is near
-    beta_zero moves by only about n |a| beta^2 under the shift, below 1e-7.
-    """
-    if a == 0:
-        raise InputError("the shift a must be nonzero")
-    w_h, V_h = eigensystem(H)
-    n = len(w_h)
-    main_h = group_spectrum(w_h, V_h, tol=tol).main_spectrum()
-    M = np.asarray(H, dtype=np.complex128) + a * np.ones((n, n))
-    w_m, V_m = eigensystem(M)
-    main_m = group_spectrum(w_m, V_m, tol=tol).main_spectrum()
-
-    violations = []
-    if len(main_h.taus) != len(main_m.taus):
-        violations.append(
-            f"main eigenvalue counts differ: {len(main_h.taus)} for H, "
-            f"{len(main_m.taus)} for the shift")
-    else:
-        if a > 0:
-            pairs = list(zip(main_h.taus, main_m.taus))       # tau_k < mu_k
-            shifted = list(zip(main_m.taus, main_h.taus[1:]))  # mu_k < tau_(k+1)
-        else:
-            pairs = list(zip(main_m.taus, main_h.taus))       # mu_k < tau_k
-            shifted = list(zip(main_h.taus, main_m.taus[1:]))  # tau_k < mu_(k+1)
-        for lo, hi in pairs + shifted:
-            if lo - hi > INTERLACING_SLACK:
-                violations.append(f"interlacing violated: expected {lo:.9f} < {hi:.9f}")
-    verdict = InterlacingVerdict(len(main_h.taus), len(main_m.taus),
-                                 not violations, tuple(violations))
-    return main_m, verdict

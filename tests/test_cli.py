@@ -23,7 +23,8 @@ from tourney_codes import (DEFAULT_TOLERANCES, Embedding, InternalConsistencyErr
                            parse_line, random_tournament, verify_embedding)
 from tourney_codes.spectral import SpectralLine, Spectrum
 from tourney_codes import cli
-from tourney_codes.cli import ORDER4_LINES, _check_embed_all, _IndentedEncoder, main
+from tourney_codes._paper import _check_embed_all
+from tourney_codes.cli import ORDER4_LINES, _IndentedEncoder, main
 
 
 def run_cli(capsys, *argv):
@@ -253,12 +254,70 @@ def test_import_leaves_the_process_pool_unloaded():
     env = dict(os.environ, PYTHONPATH=src)
     # logging, fractions and decimal cost every run several ms to import;
     # only the rarely taken paths that use them import them.
+    # The modules of code that analyze and embed never run load on first use.
     code = ("import sys, tourney_codes.cli; "
             "print([m for m in ('concurrent.futures.process', 'multiprocessing', "
-            "'logging', 'fractions', 'decimal') if m in sys.modules])")
+            "'logging', 'fractions', 'decimal', 'tourney_codes._constructions', "
+            "'tourney_codes._catalog', 'tourney_codes._shifts', 'tourney_codes._paper') "
+            "if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out == "[]\n"
+
+
+# Every name the package bound when all of its modules loaded with it.
+PACKAGE_NAMES = (
+    "BlockFormCert", "CanonicalForm", "CharIdentityResult", "DEFAULT_TOLERANCES",
+    "DrtCatalog", "DrtParams", "Embedding", "EmbeddingVerdict", "InputError",
+    "InterlacingVerdict", "InternalConsistencyError", "MainSpectrum", "RepReport",
+    "SpectralLine", "Spectrum", "TightCodeCount", "TightnessReport", "Tolerances",
+    "Tournament", "TypeClass", "TypeVariant", "add_vertex", "adjacency", "analyze",
+    "block_form_check", "build", "canonical_form", "canonical_representative",
+    "char_identity_residual", "classify_code", "classify_type", "codes",
+    "count_tight_codes", "d_optimal_block", "delete_vertex", "dominated_extension",
+    "drt_catalog", "drt_minus_vertex_check", "eigensystem", "embed",
+    "enumerate_tournaments", "errors", "exact_integer_eigenvalue", "exact_ones_resolvent",
+    "from_adjacency", "gram_matrix", "group_spectrum", "is_doubly_regular",
+    "multiplicity_profile", "optimal_alpha", "paley_tournament", "parse_catalog",
+    "parse_line", "random_tournament", "relabel", "rep_dimension", "representation",
+    "seidel_matrix", "seidel_squared", "shifted_main_spectrum", "skew_hadamard_check",
+    "spectral", "spectrum_of", "switch", "switching_class", "tournament",
+    "verify_embedding", "verify_no_double_zero_spectrum", "witness_shift")
+
+
+def test_every_package_name_resolves_to_its_defining_object():
+    # In a fresh interpreter, so that the modules loaded on first use are
+    # not loaded yet.  Prints, per way of reaching a name, the names it misses.
+    src = str(Path(tourney_codes.__file__).resolve().parents[1])
+    code = """
+import json, sys, types
+names = json.loads(sys.argv[1])
+import tourney_codes
+listed = set(dir(tourney_codes))
+star = {}
+exec("from tourney_codes import *", star)
+missed = {"import": [], "defining module": [], "dir": [], "star-import": []}
+for name in names:
+    ns = {}
+    try:
+        obj = getattr(tourney_codes, name)
+        exec(f"from tourney_codes import {name}", ns)
+    except (AttributeError, ImportError):
+        missed["import"].append(name)
+        continue
+    home = (sys.modules["tourney_codes." + name] if isinstance(obj, types.ModuleType)
+            else getattr(sys.modules[obj.__module__], name))
+    for way, ok in (("import", ns[name] is obj), ("defining module", obj is home),
+                    ("dir", name in listed), ("star-import", star.get(name) is obj)):
+        if not ok:
+            missed[way].append(name)
+print(json.dumps(missed))
+"""
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(PACKAGE_NAMES)],
+                         env=dict(os.environ, PYTHONPATH=src), check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert json.loads(out) == {"import": [], "defining module": [], "dir": [],
+                               "star-import": []}
 
 
 def test_exported_functions_are_plain_functions():
@@ -274,7 +333,7 @@ def test_embed_all_uses_the_embedding_analysis(monkeypatch):
     def refuse(T, tol):
         raise AssertionError("analyze called again")
 
-    monkeypatch.setattr("tourney_codes.cli.analyze", refuse)
+    monkeypatch.setattr("tourney_codes._paper.analyze", refuse)
     ok, detail = _check_embed_all(5, DEFAULT_TOLERANCES)
     assert ok, detail
 
@@ -595,3 +654,64 @@ def test_a_failed_fork_leaks_no_pipe(capsys, monkeypatch):
         main(["analyze", "-"], _shares=2)
     assert sorted(os.listdir("/proc/self/fd")) == open_fds
     assert capsys.readouterr().out == ""
+
+
+# ------------------------------------------------------------- process exit
+
+
+def cli_process(*argv, stdin: bytes = b""):
+    """python -m tourney_codes.cli argv in a fresh interpreter."""
+    src = str(Path(tourney_codes.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "tourney_codes.cli", *argv], input=stdin,
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          timeout=120)
+
+
+@pytest.mark.parametrize("argv,batch", [
+    (("analyze",), "split"), (("analyze", "--format", "tsv"), "split"),
+    (("embed",), "split"), (("embed", "--format", "tsv"), "split"),
+    (("analyze",), "empty"), (("embed", "--format", "tsv"), "empty"),
+    (("analyze",), "bad line"), (("embed", "--format", "tsv"), "bad line"),
+])
+def test_the_process_writes_and_exits_as_main_returns(capsys, monkeypatch, argv, batch):
+    # 33 lines make two shares wherever two CPUs are usable.
+    text = {"split": share_batch() * 3, "empty": "", "bad line": "3:101\n1:\n"}[batch]
+    proc = cli_process(*argv, "-", stdin=text.encode("ascii"))
+    rc, out, err = run_shares(capsys, monkeypatch, None, text, *argv)
+    assert rc == {"bad line": 2}.get(batch, 0)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out.encode(), err.encode())
+
+
+def test_entry_exits_with_the_code_of_main(capsys, monkeypatch):
+    def corrupt(T, tol):
+        return Embedding(2, np.zeros((T.n, 2), dtype=complex), 0.5j)
+
+    codes = []
+    monkeypatch.setattr(os, "_exit", codes.append)
+    monkeypatch.setattr("sys.argv", ["tourney-codes", "embed", "4:111010", "--check"])
+    cli.entry()
+    monkeypatch.setattr("tourney_codes.cli.embed", corrupt)
+    cli.entry()
+    assert codes == [0, 3]
+    assert capsys.readouterr().err == "embedding verification failed\n"
+
+
+def test_a_closed_stdout_ends_with_one_line_and_exit_one(tmp_path):
+    # The output is far larger than a pipe holds, so writing it must meet
+    # the closed pipe; 64 lines make two shares wherever two CPUs are usable.
+    rng = random.Random(12)
+    path = tmp_path / "batch.txt"
+    path.write_text("".join(random_tournament(20, rng).line() + "\n" for _ in range(64)))
+    src = str(Path(tourney_codes.__file__).resolve().parents[1])
+    proc = subprocess.Popen([sys.executable, "-m", "tourney_codes.cli", "analyze", str(path)],
+                            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, start_new_session=True)
+    assert proc.stdout.read(10) == b'{\n  "comma'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b"output error: [Errno 32] Broken pipe\n"
+    # Every forked share was reaped: nothing is left of the process group.
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)

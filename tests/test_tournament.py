@@ -15,7 +15,8 @@ from tourney_codes import (InputError, Tournament, add_vertex, adjacency, build,
                            from_adjacency, paley_tournament, parse_catalog, parse_line,
                            random_tournament, relabel, seidel_matrix, seidel_squared,
                            switch, switching_class)
-from tourney_codes.tournament import _out_masks, pair_index
+from tourney_codes._constructions import _out_masks
+from tourney_codes.tournament import pair_index
 
 # Adjacency matrices of the four order-4 classes, written out in full.
 ORDER4_MATRICES = [
