@@ -84,8 +84,12 @@ def drt_catalog(order: int, catalog_path: str | None = None) -> DrtCatalog:
         raise InputError(f"catalog order must be positive, got {order}")
     if catalog_path is None:
         return _builtin_catalog(order)
-    with open(catalog_path, "r", encoding="ascii") as handle:
-        entries = parse_catalog(handle)
+    try:
+        with open(catalog_path, "r", encoding="ascii") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read catalog {catalog_path!r}: {exc}")
+    entries = parse_catalog(text.splitlines())
     seen: dict = {}
     for T in entries:
         if T.n != order:

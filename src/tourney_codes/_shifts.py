@@ -64,13 +64,6 @@ def char_identity_residual(H, a: float, x_samples,
         residual = abs(p_m - p_h * correction) / (1.0 + abs(p_h))
         max_residual = max(max_residual, residual)
         evaluated += 1
-    import logging  # only here: importing it costs every run several ms
-    log = logging.getLogger(__name__)
-    if evaluated:
-        log.debug("characteristic identity residual %.3e over %d samples",
-                  max_residual, evaluated)
-    for x in skipped:
-        log.debug("sample %g skipped: too close to an eigenvalue", x)
     return CharIdentityResult(max_residual, evaluated, tuple(skipped))
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .codes import classify_code
 from .errors import InputError, InternalConsistencyError
-from .representation import analyze, embed, verify_embedding
+from .representation import analyze, embed
 from .spectral import BETA_ZERO_TOL, CLUSTER_GAP_FACTOR, Tolerances, Spectrum
 from .tournament import Tournament, parse_catalog
 
@@ -57,14 +57,14 @@ def _tolerances(args: argparse.Namespace) -> Tolerances:
 
 def _read_input(spec: str) -> str:
     """Input is a literal tournament line, '-' for stdin, or a file path."""
-    if spec == "-":
-        return sys.stdin.read()
     if ":" in spec and not os.path.exists(spec):
         return spec + "\n"
     try:
+        if spec == "-":
+            return sys.stdin.read()
         with open(spec, "r", encoding="ascii") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read input {spec!r}: {exc}")
 
 
@@ -193,14 +193,14 @@ def _analyze_worker(T: Tournament, tol: Tolerances) -> dict:
 
 def _embed_worker(T: Tournament, tol: Tolerances) -> dict:
     emb = embed(T, tol)
-    verdict = verify_embedding(emb, T)
-    report = emb.report if emb.report is not None else analyze(T, tol)
+    report = emb.report
     out = {"line": T.line()}
     out.update(report.to_json_dict(spectrum=report.spectrum))
     out["dimension"] = emb.dimension
-    out["vectors"] = np.asarray(emb.vectors, dtype=np.complex128)
-    out["max_deviation"] = float(verdict.max_deviation)
-    out["check_passed"] = bool(verdict.passed)
+    out["vectors"] = emb.vectors
+    out["max_deviation"] = emb.max_deviation
+    # embed raises InternalConsistencyError on an embedding that fails its check
+    out["check_passed"] = True
     return out
 
 
@@ -230,17 +230,11 @@ def _split(entries: list, count: int) -> list[list]:
     return [entries[k * n // count:(k + 1) * n // count] for k in range(count)]
 
 
-def _run_share(worker, encode, entries: list, tol: Tolerances) -> tuple[str, bool]:
-    """The encoded results of one share, and whether every check in it passed."""
-    results = _map_lines(worker, entries, tol)
-    return encode(results), all(r.get("check_passed", True) for r in results)
-
-
 def _fork_share(worker, encode, entries: list, tol: Tolerances):
     """Run one share in a child process; returns the child's pid and its pipe.
 
-    The child writes one JSON status line, [null, passed] or [error class
-    name, message], then its text, and ends in os._exit, so it never
+    The child writes one JSON status line, null or [error class name,
+    message], then its text, and ends in os._exit, so it never
     returns into the caller.
     """
     import warnings
@@ -263,10 +257,9 @@ def _fork_share(worker, encode, entries: list, tol: Tolerances):
     code = 1
     try:
         os.close(read_fd)
-        text = ""
+        text, status = "", None
         try:
-            text, passed = _run_share(worker, encode, entries, tol)
-            status = [None, passed]
+            text = encode(_map_lines(worker, entries, tol))
         except (InputError, InternalConsistencyError) as exc:
             status = [type(exc).__name__, str(exc)]
         except Exception as exc:  # reported by the parent, which exits 3
@@ -281,35 +274,33 @@ def _fork_share(worker, encode, entries: list, tol: Tolerances):
         os._exit(code)
 
 
-def _share_passed(pipe) -> bool:
-    """Read a child's status line: whether its checks passed, or raise its error."""
+def _read_status(pipe) -> None:
+    """Read a child's status line and raise the error it names, if any."""
     try:
-        error, detail = json.loads(pipe.readline())
+        status = json.loads(pipe.readline())
     except ValueError:
         raise InternalConsistencyError("a worker process ended without a report") from None
-    if error == InputError.__name__:
-        raise InputError(detail)
-    if error is not None:
-        raise InternalConsistencyError(detail)
-    return detail
+    if status is not None:
+        error, detail = status
+        raise (InputError if error == InputError.__name__ else InternalConsistencyError)(detail)
 
 
 def _write_shares(worker, encode, shares: list[list], tol: Tolerances,
-                  head: str, sep: str, tail: str) -> bool:
+                  head: str, sep: str, tail: str) -> None:
     """Write head, the text of every share joined by sep, then tail.
 
     The first share runs in this process and every other one in a child
     of its own.  Nothing is written before every share has succeeded; a
     failure raises the error of the earliest failing share, so of the
-    earliest failing line.  Returns whether every check passed.
+    earliest failing line.
     """
     children = []
     try:
         for entries in shares[1:]:
             children.append(_fork_share(worker, encode, entries, tol))
-        text, passed = _run_share(worker, encode, shares[0], tol)
+        text = encode(_map_lines(worker, shares[0], tol))
         for _, pipe in children:
-            passed = _share_passed(pipe) and passed
+            _read_status(pipe)
         sys.stdout.write(head)
         sys.stdout.write(text)
         del text
@@ -323,7 +314,6 @@ def _write_shares(worker, encode, shares: list[list], tol: Tolerances,
             if os.waitpid(pid, 0)[1]:
                 raise InternalConsistencyError(f"worker process {pid} failed while writing")
         sys.stdout.write(tail)
-        return passed
     finally:
         for pid, pipe in children:  # still running only when a share failed
             import signal
@@ -333,10 +323,10 @@ def _write_shares(worker, encode, shares: list[list], tol: Tolerances,
             os.waitpid(pid, 0)
 
 
-def _run_batch(args: argparse.Namespace, command: str, worker, tsv_row) -> bool:
-    """Run worker on every input line and write the report; True when
-    every check passed.  The lines are cut into contiguous shares, one per
-    usable CPU, each run and encoded in a process of its own."""
+def _run_batch(args: argparse.Namespace, command: str, worker, tsv_row) -> None:
+    """Run worker on every input line and write the report.  The lines are
+    cut into contiguous shares, one per usable CPU, each run and encoded in
+    a process of its own."""
     tol = _tolerances(args)
     text = _read_input(args.input)
     entries = parse_catalog(text.splitlines(), numbered=True)
@@ -359,7 +349,7 @@ def _run_batch(args: argparse.Namespace, command: str, worker, tsv_row) -> bool:
         def encode(results: list) -> str:
             return "".join(["\t".join([str(cell) for cell in tsv_row(r)]) + "\n"
                             for r in results])
-    return _write_shares(worker, encode, shares, tol, head, sep, tail)
+    _write_shares(worker, encode, shares, tol, head, sep, tail)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -370,11 +360,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
-    passed = _run_batch(args, "embed", _embed_worker, lambda r: [
+    _run_batch(args, "embed", _embed_worker, lambda r: [
         r["line"], r["dimension"], f"{r['max_deviation']:.3e}", r["check_passed"]])
-    if args.check and not passed:
-        sys.stderr.write("embedding verification failed\n")
-        return EXIT_INTERNAL
     return EXIT_OK
 
 
@@ -457,7 +444,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("embed", help="explicit verified unit-vector embeddings")
     p.add_argument("input", nargs="?", default="-")
     p.add_argument("--check", action="store_true",
-                   help="fail with exit code 3 when verification deviates")
+                   help="kept for compatibility: every embedding is verified, "
+                   "and one that fails exits with code 3")
     common(p)
     p.set_defaults(fn=cmd_embed)
 

@@ -122,8 +122,6 @@ def block_form_check(T: Tournament) -> BlockFormCert | None:
     if not support.any():
         # l = 0 would collapse the two blocks into a scalar matrix; that is
         # the skew Hadamard regime, not a block form.
-        import logging  # only here: importing it costs every run several ms
-        logging.getLogger(__name__).debug("block form rejected: S^2 is a scalar matrix (l = 0)")
         return None
     # In a block form, row 0 of S^2 is nonzero exactly on vertex 0's block.
     first = np.flatnonzero(S2[0])
@@ -271,7 +269,6 @@ def classify_code(T: Tournament, tol: Tolerances = DEFAULT_TOLERANCES, *,
                 "block-form certificates must apply")
         if deleted:
             kind = "DrtMinusVertex"
-            block = None
             _expect_shape(report, [d - 1, 1, 1, d - 1], TypeVariant.TYPE1,
                           "deleted-vertex certificate")
         else:

@@ -92,13 +92,16 @@ class RepReport:
 class Embedding:
     """Unit vectors, one per vertex, as rows of an (n, d) complex array.
 
-    report is the analysis the embedding was built from, when known.
+    report is the analysis the embedding was built from, and max_deviation
+    the worst deviation embed's verification measured; both are None on
+    an embedding built by hand.
     """
 
     dimension: int
     vectors: np.ndarray
     alpha: complex
     report: RepReport | None = None
+    max_deviation: float | None = None
 
 
 @dataclass(frozen=True)
@@ -252,7 +255,8 @@ def embed(T: Tournament, tol: Tolerances = DEFAULT_TOLERANCES) -> Embedding:
     """Explicit unit vectors realizing the minimum dimension.
 
     The Gram matrix at the optimal angle is factorized through its
-    eigendecomposition; the embedding is verified before being returned.
+    eigendecomposition; the embedding is verified before being returned,
+    and carries the deviation its verification measured.
     """
     report = analyze(T, tol)
     w, U = np.linalg.eigh(gram_matrix(T, report.alpha))
@@ -263,7 +267,7 @@ def embed(T: Tournament, tol: Tolerances = DEFAULT_TOLERANCES) -> Embedding:
     if not verdict.passed:
         raise InternalConsistencyError(
             f"embedding verification failed with deviation {verdict.max_deviation:g}")
-    return emb
+    return Embedding(report.rep_dim, vectors, report.alpha, report, verdict.max_deviation)
 
 
 def verify_embedding(emb: Embedding, T: Tournament, tol: float = EMBED_TOL) -> EmbeddingVerdict:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InputError
 
-_LINE_RE = re.compile(r"^(\d+):([01]*)$")
+_LINE_RE = re.compile(r"^([0-9]+):([01]*)$")
 _NOT_A_BIT = re.compile(r"[^01]")
 
 

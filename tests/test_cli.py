@@ -17,12 +17,12 @@ import numpy as np
 import pytest
 
 import tourney_codes
-from tourney_codes import (DEFAULT_TOLERANCES, Embedding, InternalConsistencyError,
+from tourney_codes import (DEFAULT_TOLERANCES, EmbeddingVerdict, InternalConsistencyError,
                            TypeVariant, analyze, classify_code, d_optimal_block,
                            delete_vertex, dominated_extension, embed, paley_tournament,
                            parse_line, random_tournament, verify_embedding)
 from tourney_codes.spectral import SpectralLine, Spectrum
-from tourney_codes import cli
+from tourney_codes import cli, representation
 from tourney_codes._paper import _check_embed_all
 from tourney_codes.cli import ORDER4_LINES, _IndentedEncoder, main
 
@@ -107,24 +107,64 @@ def test_embed_check_passes(capsys):
     assert res["check_passed"] and res["max_deviation"] < 1e-9
 
 
+def fail_verification(monkeypatch, failing=lambda T: True):
+    """Make embed's own check fail on every tournament failing(T) accepts."""
+    real = representation.verify_embedding
+
+    def verify(emb, T, *args):
+        verdict = real(emb, T, *args)
+        return EmbeddingVerdict(False, 0.25) if failing(T) else verdict
+
+    monkeypatch.setattr(representation, "verify_embedding", verify)
+
+
+def verification_error(k, line):
+    return (f"internal consistency error: line {k}: {line}: "
+            "embedding verification failed with deviation 0.25\n")
+
+
 def test_embed_check_failure_exits_three(capsys, monkeypatch):
-    def corrupt(T, tol):
-        return Embedding(2, np.zeros((T.n, 2), dtype=complex), 0.5j)
+    fail_verification(monkeypatch)
+    assert run_cli(capsys, "embed", "4:111010", "--check") == (
+        3, "", verification_error(1, "4:111010"))
+    text = "# header\n" + share_batch()
+    want = (3, "", verification_error(2, text.splitlines()[1]))
+    for shares in (1, 3):
+        assert run_shares(capsys, monkeypatch, shares, text, "embed", "--check") == want
+    assert no_child_left()
 
-    monkeypatch.setattr("tourney_codes.cli.embed", corrupt)
-    rc, out, err = run_cli(capsys, "embed", "4:111010", "--check")
-    assert rc == 3
-    assert "verification failed" in err
-    assert not json.loads(out)["results"][0]["check_passed"]
+
+def test_embed_without_check_fails_the_same_way(capsys, monkeypatch):
+    fail_verification(monkeypatch)
+    text = share_batch()
+    for shares in (1, 3):
+        with_check = run_shares(capsys, monkeypatch, shares, text, "embed", "--check")
+        assert with_check[0] == 3
+        assert run_shares(capsys, monkeypatch, shares, text, "embed") == with_check
+    assert run_cli(capsys, "embed", "4:111010") == (3, "", verification_error(1, "4:111010"))
 
 
-def test_embed_without_check_reports_but_passes(capsys, monkeypatch):
-    def corrupt(T, tol):
-        return Embedding(2, np.zeros((T.n, 2), dtype=complex), 0.5j)
+def test_embed_verifies_each_line_once(capsys, monkeypatch, tmp_path):
+    # Every module that binds verify_embedding is counted, so a second
+    # check anywhere in the CLI shows; shares count through a shared file.
+    real = representation.verify_embedding
+    calls = tmp_path / "calls"
 
-    monkeypatch.setattr("tourney_codes.cli.embed", corrupt)
-    rc, _, _ = run_cli(capsys, "embed", "4:111010")
-    assert rc == 0
+    def counted(*args, **kwargs):
+        with open(calls, "a", encoding="ascii") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tourney_codes") and vars(module).get("verify_embedding") is real:
+            monkeypatch.setattr(module, "verify_embedding", counted)
+    text = share_batch()
+    lines = len(text.splitlines())
+    for shares in (1, 3):
+        calls.write_text("")
+        assert run_shares(capsys, monkeypatch, shares, text, "embed", "--check")[0] == 0
+        pids = calls.read_text().split()
+        assert len(pids) == lines and len(set(pids)) == shares
 
 
 def test_enumerate_json_and_tsv(capsys):
@@ -164,10 +204,37 @@ def test_count_tight_without_catalog_is_input_error(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("content", [None, b"3:101\n\xff\n"], ids=["missing", "non-ascii"])
+def test_unreadable_catalog_is_input_error(tmp_path, capsys, content):
+    path = tmp_path / "catalog.txt"
+    if content is not None:
+        path.write_bytes(content)
+    rc, out, err = run_cli(capsys, "count-tight", "--d", "1", "--catalog", str(path))
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"input error: cannot read catalog {str(path)!r}: ")
+    assert err.count("\n") == 1
+
+
+def test_unreadable_input_is_input_error(tmp_path, capsys, monkeypatch):
+    data = b"3:101\n\xff\n"
+    path = tmp_path / "batch.txt"
+    path.write_bytes(data)
+    for spec in (str(path), "-"):
+        for command in ("analyze", "embed", "switching-class"):
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+            rc, out, err = run_cli(capsys, command, spec)
+            assert (rc, out) == (2, "")
+            assert err.startswith(f"input error: cannot read input {spec!r}: ")
+            assert "can't decode byte 0xff" in err and err.count("\n") == 1
+
+
 def test_bad_line_is_input_error(capsys):
     rc, _, err = run_cli(capsys, "analyze", "3:10")
     assert rc == 2
     assert "input error" in err and "line 1" in err
+    for line in ("\uff13:101", "\u0663:101"):  # non-ASCII digits 3
+        assert run_cli(capsys, "analyze", line) == (
+            2, "", f"input error: line 1: malformed tournament line: {line!r}\n")
 
 
 @pytest.mark.parametrize("command", ["analyze", "embed"])
@@ -520,19 +587,13 @@ def test_shares_write_the_serial_bytes(capsys, monkeypatch, command, fmt):
 
 def test_embed_check_fails_when_only_a_later_share_fails(capsys, monkeypatch):
     text = share_batch()
-    last = text.splitlines()[-1]
-
-    def corrupt_last(T, tol):
-        if T.line() != last:
-            return embed(T, tol)
-        return Embedding(2, np.zeros((T.n, 2), dtype=complex), 0.5j)
-
-    monkeypatch.setattr("tourney_codes.cli.embed", corrupt_last)
-    rc, out, err = run_shares(capsys, monkeypatch, 3, text, "embed", "--check")
-    assert (rc, err) == (3, "embedding verification failed\n")
-    passed = [r["check_passed"] for r in json.loads(out)["results"]]
-    assert passed == [True] * (len(passed) - 1) + [False]
-    assert run_shares(capsys, monkeypatch, 1, text, "embed", "--check") == (rc, out, err)
+    lines = text.splitlines()
+    fail_verification(monkeypatch, lambda T: T.line() == lines[-1])
+    want = (3, "", verification_error(len(lines), lines[-1]))
+    for argv in (("embed", "--check"), ("embed",), ("embed", "--format", "tsv")):
+        for shares in (3, 1):
+            assert run_shares(capsys, monkeypatch, shares, text, *argv) == want
+    assert no_child_left()
 
 
 @pytest.mark.parametrize("bad", [(0,), (-1,), (4, -1), (0, 5, -1)],
@@ -683,17 +744,15 @@ def test_the_process_writes_and_exits_as_main_returns(capsys, monkeypatch, argv,
 
 
 def test_entry_exits_with_the_code_of_main(capsys, monkeypatch):
-    def corrupt(T, tol):
-        return Embedding(2, np.zeros((T.n, 2), dtype=complex), 0.5j)
-
     codes = []
     monkeypatch.setattr(os, "_exit", codes.append)
     monkeypatch.setattr("sys.argv", ["tourney-codes", "embed", "4:111010", "--check"])
     cli.entry()
-    monkeypatch.setattr("tourney_codes.cli.embed", corrupt)
+    assert codes == [0] and capsys.readouterr().err == ""
+    fail_verification(monkeypatch)
     cli.entry()
     assert codes == [0, 3]
-    assert capsys.readouterr().err == "embedding verification failed\n"
+    assert capsys.readouterr() == ("", verification_error(1, "4:111010"))
 
 
 def test_a_closed_stdout_ends_with_one_line_and_exit_one(tmp_path):

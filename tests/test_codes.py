@@ -3,11 +3,16 @@ counting tight configurations through the catalogs."""
 
 import collections
 import dataclasses
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tourney_codes
 from tourney_codes import (BlockFormCert, DrtParams, InputError, InternalConsistencyError,
                            TightnessReport, Tournament, TypeVariant, adjacency, analyze,
                            block_form_check, canonical_form, classify_code,
@@ -427,3 +432,20 @@ def test_count_tight_with_catalog_file(tmp_path, paley7):
 def test_count_json_shape():
     assert count_tight_codes(1).to_json_dict() == {
         "d": 1, "count": 1, "catalog_trusted": False}
+
+
+def test_checks_leave_logging_unloaded():
+    # Nothing in the package configures logging, so nothing may load it:
+    # not the scalar-S^2 rejection of block_form_check, nor a skipped
+    # sample of char_identity_residual.
+    code = ("import sys\n"
+            "from tourney_codes import (block_form_check, char_identity_residual,\n"
+            "    dominated_extension, paley_tournament, seidel_matrix)\n"
+            "assert block_form_check(dominated_extension(paley_tournament(7))) is None\n"
+            "result = char_identity_residual(seidel_matrix(paley_tournament(3)), 1.0, [0.0, 5.0])\n"
+            "assert result.skipped == (0.0,) and result.evaluated == 1\n"
+            "print('logging' in sys.modules)\n")
+    src = str(Path(tourney_codes.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         check=True, capture_output=True, text=True, timeout=120).stdout
+    assert out == "False\n"

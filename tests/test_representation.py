@@ -191,6 +191,15 @@ def test_embed_all_small_orders(classes_by_order):
             assert emb.dimension == rep_dimension(T)
 
 
+def test_embedding_carries_its_verification(classes_by_order):
+    tournaments = [T for n in range(2, 8) for T in classes_by_order[n]]
+    tournaments += [paley_tournament(q) for q in (3, 7, 11, 19, 23)]
+    for T in tournaments:
+        emb = embed(T)
+        assert emb.max_deviation == verify_embedding(emb, T).max_deviation, T.line()
+    assert Embedding(emb.dimension, emb.vectors, emb.alpha).max_deviation is None
+
+
 def test_verify_embedding_flags_perturbation(paley7):
     emb = embed(paley7)
     rng = np.random.default_rng(4242)

@@ -119,6 +119,10 @@ def test_parse_line_errors():
         parse_line("x:101")
     with pytest.raises(InputError):
         parse_line("3-101")
+    # int() reads the fullwidth and Arabic-Indic digits 3 as 3
+    for line in ("\uff13:101", "\u0663:101", "3\u0663:101"):
+        with pytest.raises(InputError, match="malformed tournament line"):
+            parse_line(line)
 
 
 def test_parse_catalog_skips_comments_and_blanks():
