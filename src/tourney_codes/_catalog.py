@@ -73,6 +73,32 @@ def _builtin_catalog(order: int) -> DrtCatalog:
         "supply a catalog file")
 
 
+def _read_catalog(path: str | None) -> str | None:
+    """The text of the catalog file at path, or None without a path."""
+    if path is None:
+        return None
+    try:
+        with open(path, "r", encoding="ascii") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read catalog {path!r}: {exc}")
+
+
+def _catalog(order: int, text: str | None) -> DrtCatalog:
+    """The doubly regular tournaments of a positive order in the text of a
+    catalog file, or in the built-in catalogs when text is None."""
+    if text is None:
+        return _builtin_catalog(order)
+    seen: dict = {}
+    for T in parse_catalog(text.splitlines()):
+        if T.n != order:
+            raise InputError(f"catalog entry has order {T.n}, expected {order}")
+        if is_doubly_regular(T) is None:
+            raise InputError(f"catalog entry {T.line()} is not doubly regular")
+        seen.setdefault(canonical_form(T), T)
+    return DrtCatalog(order, tuple(seen[k] for k in sorted(seen)), True)
+
+
 def drt_catalog(order: int, catalog_path: str | None = None) -> DrtCatalog:
     """Doubly regular tournaments of the given order.
 
@@ -82,22 +108,7 @@ def drt_catalog(order: int, catalog_path: str | None = None) -> DrtCatalog:
     """
     if order < 1:
         raise InputError(f"catalog order must be positive, got {order}")
-    if catalog_path is None:
-        return _builtin_catalog(order)
-    try:
-        with open(catalog_path, "r", encoding="ascii") as handle:
-            text = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read catalog {catalog_path!r}: {exc}")
-    entries = parse_catalog(text.splitlines())
-    seen: dict = {}
-    for T in entries:
-        if T.n != order:
-            raise InputError(f"catalog entry has order {T.n}, expected {order}")
-        if is_doubly_regular(T) is None:
-            raise InputError(f"catalog entry {T.line()} is not doubly regular")
-        seen.setdefault(canonical_form(T), T)
-    return DrtCatalog(order, tuple(seen[k] for k in sorted(seen)), True)
+    return _catalog(order, _read_catalog(catalog_path))
 
 
 @dataclass(frozen=True)
@@ -119,13 +130,19 @@ def count_tight_codes(d: int, catalog_path: str | None = None) -> TightCodeCount
     the dominated extensions of the doubly regular tournaments of order
     2d - 1.
     """
+    return _count_tight(d, catalog_path)[0]
+
+
+def _count_tight(d: int, catalog_path: str | None) -> tuple[TightCodeCount, str | None]:
+    """count_tight_codes, and the text of the catalog file it counted from."""
     if d < 1:
         raise InputError(f"dimension must be positive, got {d}")
+    text = _read_catalog(catalog_path)
     if d % 2:
-        catalog = drt_catalog(2 * d + 1, catalog_path)
-        return TightCodeCount(d, len(catalog.tournaments), catalog.trusted)
-    catalog = drt_catalog(2 * d - 1, catalog_path)
+        catalog = _catalog(2 * d + 1, text)
+        return TightCodeCount(d, len(catalog.tournaments), catalog.trusted), text
+    catalog = _catalog(2 * d - 1, text)
     classes: set = set()
     for T in catalog.tournaments:
         classes |= switching_class(dominated_extension(T))
-    return TightCodeCount(d, len(classes), catalog.trusted)
+    return TightCodeCount(d, len(classes), catalog.trusted), text

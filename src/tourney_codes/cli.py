@@ -1,9 +1,10 @@
 """Command line front end.
 
-Streaming text commands over the library: analyze and embed read one
-tournament per line, enumerate and count-tight generate, verify-paper
-runs the built-in cross-validation suite.  Reports are emitted as
-deterministic JSON (sorted keys) or as tab-separated rows.
+Streaming text commands over the library: analyze, embed and
+switching-class read one tournament per line, enumerate and count-tight
+generate, verify-paper runs the built-in cross-validation suite.
+Reports are emitted as deterministic JSON (sorted keys) or as
+tab-separated rows.
 """
 
 from __future__ import annotations
@@ -61,10 +62,15 @@ def _read_input(spec: str) -> str:
         return spec + "\n"
     try:
         if spec == "-":
-            return sys.stdin.read()
+            text = sys.stdin.read()
+            if not text.isascii():
+                # stdin is decoded by the locale, not as ASCII like a file;
+                # this raises, naming the first character that is not ASCII.
+                text.encode("ascii")
+            return text
         with open(spec, "r", encoding="ascii") as handle:
             return handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeError) as exc:
         raise InputError(f"cannot read input {spec!r}: {exc}")
 
 
@@ -73,16 +79,6 @@ def _digest(*chunks: str) -> str:
     for chunk in chunks:
         h.update(chunk.encode("utf-8"))
     return h.hexdigest()
-
-
-def _report(command: str, digest: str, tol: Tolerances, results: list) -> dict:
-    return {
-        "command": command,
-        "version": __version__,
-        "inputs_digest": digest,
-        "tolerances": {"eig_tol": tol.cluster_gap_factor, "beta_tol": tol.beta_zero},
-        "results": results,
-    }
 
 
 def _float_text(x: float) -> str:
@@ -159,15 +155,6 @@ class _IndentedEncoder(json.JSONEncoder):
                + '"tau": %r' + row_nl + "}")
         table = "[" + row_nl + ("," + row_nl).join([row] * len(spec.lines)) + nl + "]"
         return table % tuple(values)
-
-
-def _emit(report: dict, fmt: str, tsv_rows: list[list]) -> None:
-    if fmt == "json":
-        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2, cls=_IndentedEncoder)
-                         + "\n")
-    else:
-        for row in tsv_rows:
-            sys.stdout.write("\t".join(str(cell) for cell in row) + "\n")
 
 
 def _map_lines(worker, entries: list[tuple[int, Tournament]], tol: Tolerances) -> list:
@@ -323,101 +310,105 @@ def _write_shares(worker, encode, shares: list[list], tol: Tolerances,
             os.waitpid(pid, 0)
 
 
-def _run_batch(args: argparse.Namespace, command: str, worker, tsv_row) -> None:
-    """Run worker on every input line and write the report.  The lines are
-    cut into contiguous shares, one per usable CPU, each run and encoded in
-    a process of its own."""
-    tol = _tolerances(args)
-    text = _read_input(args.input)
-    entries = parse_catalog(text.splitlines(), numbered=True)
-    shares = _split(entries, args.shares or _share_count(len(entries)))
-    if args.format == "json":
-        report = _report(command, _digest(text), tol, [_RESULTS_SLOT] if entries else [])
-        doc = json.dumps(report, sort_keys=True, indent=2, cls=_IndentedEncoder) + "\n"
-        head, _, tail = doc.partition(encode_basestring_ascii(_RESULTS_SLOT))
-        # The results list is a value of the top-level object, so its
-        # items sit at an indent of four spaces.
-        nl = "\n    "
-        sep = "," + nl
-        encoder = _IndentedEncoder()
-
-        def encode(results: list) -> str:
-            return sep.join([encoder._encode(r, nl) for r in results])
-    else:
-        head = sep = tail = ""
-
+def _frame(args: argparse.Namespace, tol: Tolerances, command: str, digest: str, tsv_row,
+           empty: bool, **fields):
+    """How a report is written: head, sep, tail and encode(results).  The
+    report is head, then encode's texts of consecutive runs of its results
+    joined by sep, then tail.  A JSON report carries fields beside the
+    envelope's keys; a TSV report is one tsv_row(result) per line."""
+    if args.format == "tsv":
         def encode(results: list) -> str:
             return "".join(["\t".join([str(cell) for cell in tsv_row(r)]) + "\n"
                             for r in results])
+
+        return "", "", "", encode
+    report = {"command": command, "version": __version__, "inputs_digest": digest,
+              "tolerances": {"eig_tol": tol.cluster_gap_factor, "beta_tol": tol.beta_zero},
+              "results": [] if empty else [_RESULTS_SLOT], **fields}
+    doc = json.dumps(report, sort_keys=True, indent=2, cls=_IndentedEncoder) + "\n"
+    head, _, tail = doc.partition(encode_basestring_ascii(_RESULTS_SLOT))
+    # The results list is a value of the top-level object, so its items
+    # sit at an indent of four spaces.
+    nl = "\n    "
+    sep = "," + nl
+    encoder = _IndentedEncoder()
+
+    def encode(results: list) -> str:
+        return sep.join([encoder._encode(r, nl) for r in results])
+
+    return head, sep, tail, encode
+
+
+def _emit(args: argparse.Namespace, tol: Tolerances, command: str, digest: str, tsv_row,
+          results: list, **fields) -> None:
+    """Write the report of results computed in this process."""
+    head, _, tail, encode = _frame(args, tol, command, digest, tsv_row, not results, **fields)
+    sys.stdout.write(head + encode(results) + tail)
+
+
+def _run_batch(args: argparse.Namespace, tol: Tolerances, command: str, worker,
+               tsv_row) -> None:
+    """Run worker on every input line and write the report.  The lines are
+    cut into contiguous shares, one per usable CPU, each run and encoded in
+    a process of its own."""
+    text = _read_input(args.input)
+    entries = parse_catalog(text.splitlines(), numbered=True)
+    head, sep, tail, encode = _frame(args, tol, command, _digest(text), tsv_row, not entries)
+    shares = _split(entries, _share_count(len(entries)))
     _write_shares(worker, encode, shares, tol, head, sep, tail)
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    _run_batch(args, "analyze", _analyze_worker, lambda r: [
+def cmd_analyze(args: argparse.Namespace, tol: Tolerances) -> int:
+    _run_batch(args, tol, "analyze", _analyze_worker, lambda r: [
         r["line"], r["type"], r["rep_dim"], r["alpha"]["re"], r["alpha"]["im"],
         r.get("tightness", {}).get("certificate", {}).get("kind", "")])
     return EXIT_OK
 
 
-def cmd_embed(args: argparse.Namespace) -> int:
-    _run_batch(args, "embed", _embed_worker, lambda r: [
+def cmd_embed(args: argparse.Namespace, tol: Tolerances) -> int:
+    _run_batch(args, tol, "embed", _embed_worker, lambda r: [
         r["line"], r["dimension"], f"{r['max_deviation']:.3e}", r["check_passed"]])
     return EXIT_OK
 
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
+def cmd_enumerate(args: argparse.Namespace, tol: Tolerances) -> int:
     from ._constructions import enumerate_tournaments
 
-    tol = _tolerances(args)
     lines = [T.line() for T in enumerate_tournaments(args.n)]
-    _emit(_report("enumerate", _digest(f"n={args.n}"), tol, lines),
-          args.format, [[line] for line in lines])
+    _emit(args, tol, "enumerate", _digest(f"n={args.n}"), lambda line: [line], lines)
     return EXIT_OK
 
 
-def cmd_switching_class(args: argparse.Namespace) -> int:
+def cmd_switching_class(args: argparse.Namespace, tol: Tolerances) -> int:
+    # Loaded here, before any share forks, so no child imports it again.
     from ._constructions import switching_class
 
-    tol = _tolerances(args)
-    text = _read_input(args.input)
-    tournaments = parse_catalog(text.splitlines())
-    results = []
-    rows = []
-    for T in tournaments:
-        classes = sorted(switching_class(T))
-        members = [c.key.decode("ascii") for c in classes]
-        results.append({"line": T.line(), "count": len(members), "classes": members})
-        rows.append([T.line(), len(members), " ".join(members)])
-    _emit(_report("switching-class", _digest(text), tol, results), args.format, rows)
+    def worker(T: Tournament, tol: Tolerances) -> dict:
+        members = [c.key.decode("ascii") for c in sorted(switching_class(T))]
+        return {"line": T.line(), "count": len(members), "classes": members}
+
+    _run_batch(args, tol, "switching-class", worker, lambda r: [
+        r["line"], r["count"], " ".join(r["classes"])])
     return EXIT_OK
 
 
-def cmd_count_tight(args: argparse.Namespace) -> int:
-    from ._catalog import count_tight_codes
+def cmd_count_tight(args: argparse.Namespace, tol: Tolerances) -> int:
+    from ._catalog import _count_tight
 
-    tol = _tolerances(args)
-    count = count_tight_codes(args.d, args.catalog)
-    digest_parts = [f"d={args.d}"]
-    if args.catalog:
-        with open(args.catalog, "r", encoding="ascii") as handle:
-            digest_parts.append(handle.read())
-    result = count.to_json_dict()
-    _emit(_report("count-tight", _digest(*digest_parts), tol, [result]),
-          args.format, [[count.d, count.count, count.catalog_trusted]])
+    count, text = _count_tight(args.d, args.catalog)
+    _emit(args, tol, "count-tight", _digest(f"d={args.d}", text or ""), lambda r: [
+        r["d"], r["count"], r["catalog_trusted"]], [count.to_json_dict()])
     return EXIT_OK
 
 
-def cmd_verify_paper(args: argparse.Namespace) -> int:
+def cmd_verify_paper(args: argparse.Namespace, tol: Tolerances) -> int:
     from ._paper import paper_checks
 
-    tol = _tolerances(args)
     checks = paper_checks(args.level, tol, (ORDER4_LINES, ORDER4_REP_DIMS))
     results = [{"id": name, "pass": ok, "detail": detail} for name, ok, detail in checks]
-    all_pass = all(ok for _, ok, _ in checks)
-    report = _report("verify-paper", _digest(f"level={args.level}"), tol, results)
-    report["all_pass"] = all_pass
-    rows = [[("PASS" if ok else "FAIL"), name, detail] for name, ok, detail in checks]
-    _emit(report, args.format, rows)
+    all_pass = all(r["pass"] for r in results)
+    _emit(args, tol, "verify-paper", _digest(f"level={args.level}"), lambda r: [
+        "PASS" if r["pass"] else "FAIL", r["id"], r["detail"]], results, all_pass=all_pass)
     return EXIT_OK if all_pass else EXIT_VERIFY
 
 
@@ -473,16 +464,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None, *, _shares: int | None = None) -> int:
-    """Run the command line argv; returns the exit code.
-
-    _shares, when given, is how many processes analyze and embed split
-    their lines over, in place of one per usable CPU.
-    """
-    parser = _build_parser()
-    args = parser.parse_args(argv, argparse.Namespace(shares=_shares))
+def main(argv=None) -> int:
+    """Run the command line argv; returns the exit code."""
+    args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return args.fn(args, _tolerances(args))
     except InputError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT

@@ -281,13 +281,14 @@ def verify_embedding(emb: Embedding, T: Tournament, tol: float = EMBED_TOL) -> E
         raise InputError(f"embedding has {X.shape[0] if X.ndim == 2 else '?'} vectors, "
                          f"tournament has {T.n} vertices")
     inner = X.conj() @ X.T
-    deviation = float(np.abs(np.diag(inner).real - 1.0).max())
-    deviation = max(deviation, float(np.abs(np.diag(inner).imag).max()))
+    worst = [np.abs(np.diag(inner).real - 1.0).max(), np.abs(np.diag(inner).imag).max()]
     if T.n > 1:
         rows, cols = upper_pairs(T.n)
         arcs = pair_bits(T) == 1
         d = inner[rows, cols] - np.where(arcs, emb.alpha, np.conj(emb.alpha))
         # hypot rounds exactly as the scalar abs() of one complex value does;
         # np.abs on an array can differ from it in the last bit.
-        deviation = max(deviation, float(np.hypot(d.real, d.imag).max()))
+        worst.append(np.hypot(d.real, d.imag).max())
+    # np.max keeps a NaN, which fails the verdict; builtin max may drop it.
+    deviation = float(np.max(worst))
     return EmbeddingVerdict(deviation <= tol, deviation)

@@ -112,7 +112,10 @@ def eigensystem(H, hermitian_tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np
     if H.ndim != 2 or H.shape[0] != H.shape[1] or H.shape[0] == 0:
         raise InputError("eigensystem needs a nonempty square matrix")
     n = H.shape[0]
-    scale = max(1.0, float(np.abs(H).max()))
+    peak = float(np.abs(H).max())
+    if not math.isfinite(peak):  # NaN would pass every check below
+        raise InputError("eigensystem needs a finite matrix")
+    scale = max(1.0, peak)
     if float(np.abs(H - H.conj().T).max()) > hermitian_tol * scale:
         raise InputError("matrix is not Hermitian within tolerance")
     w, V = np.linalg.eigh(H)
@@ -306,6 +309,8 @@ def group_spectrum(eigenvalues, eigenvectors, j_vector=None, *,
         j = np.asarray(j_vector, dtype=np.complex128)
         if j.shape != (n,):
             raise InputError("j vector has the wrong length")
+    if not (np.isfinite(w).all() and np.isfinite(V).all() and np.isfinite(j).all()):
+        raise InputError("group_spectrum needs finite eigenvalues, eigenvectors and j")
     order = np.argsort(w, kind="stable")
     w = w[order]
     V = V[:, order]

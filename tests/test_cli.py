@@ -197,6 +197,24 @@ def test_count_tight_command(capsys):
     assert out == "2\t2\tFalse\n"
 
 
+def test_count_tight_reads_its_catalog_once(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "drt7.txt"
+    text = "# seven vertices\n" + paley_tournament(7).line() + "\n"
+    path.write_text(text)
+    real_open, opened = open, []
+
+    def counted_open(file, *args, **kwargs):
+        if str(file) == str(path):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counted_open)
+    rc, report, _ = run_json(capsys, "count-tight", "--d", "3", "--catalog", str(path))
+    assert rc == 0 and len(opened) == 1
+    assert report["results"] == [{"d": 3, "count": 1, "catalog_trusted": True}]
+    assert report["inputs_digest"] == hashlib.sha256(f"d=3{text}".encode()).hexdigest()
+
+
 def test_count_tight_without_catalog_is_input_error(capsys):
     rc, out, err = run_cli(capsys, "count-tight", "--d", "7")
     assert rc == 2
@@ -228,6 +246,21 @@ def test_unreadable_input_is_input_error(tmp_path, capsys, monkeypatch):
             assert "can't decode byte 0xff" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text", ["# caf\u00e9\n3:101\n", "3:101\n\udcff\n"],
+                         ids=["utf-8", "surrogate-escaped"])
+def test_stdin_must_be_ascii_like_a_file(tmp_path, capsys, monkeypatch, text):
+    # A C locale decodes stdin with surrogateescape, so a byte \xff reads
+    # as '\udcff'; either way the text is refused as a file's would be.
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    rc, out, err = run_cli(capsys, "analyze", "-")
+    assert (rc, out) == (2, "")
+    assert err.startswith("input error: cannot read input '-': 'ascii' codec can't encode")
+    assert err.count("\n") == 1
+    path = tmp_path / "batch.txt"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    assert run_cli(capsys, "analyze", str(path))[:2] == (2, "")
+
+
 def test_bad_line_is_input_error(capsys):
     rc, _, err = run_cli(capsys, "analyze", "3:10")
     assert rc == 2
@@ -244,6 +277,15 @@ def test_batch_error_names_the_line(capsys, monkeypatch, command):
     assert rc == 2 and out == ""
     assert err == ("input error: line 2: 1:: a single point has no angle set; "
                    "n >= 2 required\n")
+
+
+@pytest.mark.parametrize("shares", [1, 2])
+def test_switching_class_error_names_the_line(capsys, monkeypatch, shares):
+    big = random_tournament(13, random.Random(13)).line()
+    text = "# header\n3:101\n" + big + "\n4:111010\n"
+    assert run_shares(capsys, monkeypatch, shares, text, "switching-class") == (
+        2, "", f"input error: line 3: {big}: switching class enumeration supports "
+        "n <= 12, got 13\n")
 
 
 def test_internal_error_names_the_line(capsys, monkeypatch):
@@ -547,9 +589,16 @@ def test_spectrum_rows_match_the_dict_form(rows):
 # ------------------------------------------------- batches split over processes
 
 
+def pin_shares(monkeypatch, shares):
+    """Split every batch into shares processes, in place of one per usable CPU."""
+    monkeypatch.setattr(cli, "_share_count", lambda lines: shares)
+
+
 def run_shares(capsys, monkeypatch, shares, text, *argv):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
-    rc = main([*argv, "-"], _shares=shares)
+    if shares is not None:
+        pin_shares(monkeypatch, shares)
+    rc = main([*argv, "-"])
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
 
@@ -569,15 +618,33 @@ def share_batch():
     return "".join(T.line() + "\n" for T in tournaments)
 
 
-@pytest.mark.parametrize("command", ["analyze", "embed"])
+def switching_batch():
+    """Lines of orders 2 to 8, each a few milliseconds of switching-class."""
+    rng = random.Random(78)
+    P7 = paley_tournament(7)
+    tournaments = [parse_line(line) for line in ORDER4_LINES + ("2:1",)]
+    tournaments += [P7, dominated_extension(P7)]
+    tournaments += [random_tournament(n, rng) for n in (5, 6, 7, 8)]
+    return "".join(T.line() + "\n" for T in tournaments)
+
+
+@pytest.mark.parametrize("command", ["analyze", "embed", "switching-class"])
 @pytest.mark.parametrize("fmt", ["json", "tsv"])
 def test_shares_write_the_serial_bytes(capsys, monkeypatch, command, fmt):
-    text = share_batch()
+    text = switching_batch() if command == "switching-class" else share_batch()
     serial = run_shares(capsys, monkeypatch, 1, text, command, "--format", fmt)
     assert serial[0] == 0 and serial[1] and serial[2] == ""
+    real_fork, forks = os.fork, []
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
     # 40 shares is more than the 11 lines: one line per process
     for shares in (2, 3, 40):
         assert run_shares(capsys, monkeypatch, shares, text, command, "--format", fmt) == serial
+    assert len(forks) == 1 + 2 + (len(text.splitlines()) - 1)
     empty = run_shares(capsys, monkeypatch, 1, "", command, "--format", fmt)
     assert empty == run_shares(capsys, monkeypatch, 3, "", command, "--format", fmt)
     assert empty[1] == ("" if fmt == "tsv" else
@@ -684,8 +751,8 @@ def test_embed_forks_under_default_blas_threading(tmp_path):
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     env["PYTHONPATH"] = src
-    code = ("import sys; from tourney_codes.cli import main; "
-            "sys.exit(main(sys.argv[2:], _shares=int(sys.argv[1])))")
+    code = ("import sys; from tourney_codes import cli; "
+            "cli._share_count = lambda lines: int(sys.argv[1]); sys.exit(cli.main(sys.argv[2:]))")
     outputs = [subprocess.run([sys.executable, "-c", code, str(shares), "embed", str(path)],
                               env=env, capture_output=True, timeout=120)
                for shares in (1, 2)]
@@ -710,9 +777,10 @@ def test_a_failed_fork_leaks_no_pipe(capsys, monkeypatch):
 
     monkeypatch.setattr(os, "fork", no_process)
     monkeypatch.setattr("sys.stdin", io.StringIO(share_batch()))
+    pin_shares(monkeypatch, 2)
     open_fds = sorted(os.listdir("/proc/self/fd"))
     with pytest.raises(BlockingIOError):
-        main(["analyze", "-"], _shares=2)
+        main(["analyze", "-"])
     assert sorted(os.listdir("/proc/self/fd")) == open_fds
     assert capsys.readouterr().out == ""
 

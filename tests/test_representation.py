@@ -210,6 +210,13 @@ def test_verify_embedding_flags_perturbation(paley7):
     assert 1e-4 < verdict.max_deviation < 1e-2
 
 
+@pytest.mark.parametrize("alpha", [complex(math.nan, 0.5), complex(0.5, math.nan)])
+def test_verify_embedding_fails_a_nan_angle(paley7, alpha):
+    emb = embed(paley7)
+    verdict = verify_embedding(Embedding(emb.dimension, emb.vectors, alpha), paley7)
+    assert not verdict.passed and math.isnan(verdict.max_deviation)
+
+
 def _max_deviation_by_pairs(emb, T):
     """The scalar per-pair loop, kept as the reference for verify_embedding."""
     X = np.asarray(emb.vectors, dtype=np.complex128)

@@ -91,6 +91,14 @@ def test_eigensystem_rejects_non_square():
         eigensystem(np.zeros((0, 0)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
+def test_eigensystem_rejects_non_finite_entries(bad):
+    # Every comparison with NaN is False, so NaN would pass the Hermitian,
+    # residual and orthonormality checks unnoticed.
+    with pytest.raises(InputError, match="finite"):
+        eigensystem([[bad, 0], [0, 1]])
+
+
 # ---------------------------------------------------------- main angles
 
 
@@ -141,6 +149,15 @@ def test_group_spectrum_rejects_bad_shapes():
         group_spectrum([0.0, 1.0], np.eye(3))
     with pytest.raises(InputError):
         group_spectrum([0.0, 1.0], np.eye(2), j_vector=[1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("where", ["eigenvalue", "eigenvector", "j"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_group_spectrum_rejects_non_finite_input(where, bad):
+    w, V, j = np.array([-1.0, 1.0]), np.eye(2, dtype=complex), np.ones(2)
+    {"eigenvalue": w, "eigenvector": V, "j": j}[where][0] = bad
+    with pytest.raises(InputError, match="finite"):
+        group_spectrum(w, V, j_vector=j)
 
 
 def test_group_spectrum_custom_j_vector(cycle3):
