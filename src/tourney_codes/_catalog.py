@@ -84,7 +84,7 @@ def _read_catalog(path: str | None) -> str | None:
         raise InputError(f"cannot read catalog {path!r}: {exc}")
 
 
-def _catalog(order: int, text: str | None) -> DrtCatalog:
+def _parse_drt(order: int, text: str | None) -> DrtCatalog:
     """The doubly regular tournaments of a positive order in the text of a
     catalog file, or in the built-in catalogs when text is None."""
     if text is None:
@@ -108,7 +108,7 @@ def drt_catalog(order: int, catalog_path: str | None = None) -> DrtCatalog:
     """
     if order < 1:
         raise InputError(f"catalog order must be positive, got {order}")
-    return _catalog(order, _read_catalog(catalog_path))
+    return _parse_drt(order, _read_catalog(catalog_path))
 
 
 @dataclass(frozen=True)
@@ -130,19 +130,20 @@ def count_tight_codes(d: int, catalog_path: str | None = None) -> TightCodeCount
     the dominated extensions of the doubly regular tournaments of order
     2d - 1.
     """
-    return _count_tight(d, catalog_path)[0]
+    return _count_tight(d, _read_catalog(catalog_path) if d >= 1 else None)
 
 
-def _count_tight(d: int, catalog_path: str | None) -> tuple[TightCodeCount, str | None]:
-    """count_tight_codes, and the text of the catalog file it counted from."""
+def _count_tight(d: int, text: str | None) -> TightCodeCount:
+    """count_tight_codes from the text of a catalog file, or from the
+    built-in catalogs when text is None.  Callers read no catalog for a d
+    below 1, so its error comes before any error of the file."""
     if d < 1:
         raise InputError(f"dimension must be positive, got {d}")
-    text = _read_catalog(catalog_path)
     if d % 2:
-        catalog = _catalog(2 * d + 1, text)
-        return TightCodeCount(d, len(catalog.tournaments), catalog.trusted), text
-    catalog = _catalog(2 * d - 1, text)
+        catalog = _parse_drt(2 * d + 1, text)
+        return TightCodeCount(d, len(catalog.tournaments), catalog.trusted)
+    catalog = _parse_drt(2 * d - 1, text)
     classes: set = set()
     for T in catalog.tournaments:
         classes |= switching_class(dominated_extension(T))
-    return TightCodeCount(d, len(classes), catalog.trusted), text
+    return TightCodeCount(d, len(classes), catalog.trusted)

@@ -191,22 +191,23 @@ def _embed_worker(T: Tournament, tol: Tolerances) -> dict:
     return out
 
 
-# The fewest input lines that earn a share, and so a process, of their
-# own: a fork costs a few ms (copy-on-write faults, first-call setup run
-# again in the child), which a smaller share does not win back.
+# The least work, counted in analyze lines, that earns a share, and so a
+# process, of its own: a fork costs a few ms (copy-on-write faults,
+# first-call setup run again in the child), which a smaller share does
+# not win back.
 _MIN_SHARE_LINES = 16
 # Holds the place of the results list's items while the report around
 # them is encoded; no other string of a report contains a NUL.
 _RESULTS_SLOT = "\0"
 
 
-def _share_count(lines: int) -> int:
-    """One share per CPU this process may run on, of _MIN_SHARE_LINES lines or more."""
+def _share_count(work: int) -> int:
+    """One share per CPU this process may run on, of _MIN_SHARE_LINES work or more."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity outside Linux
         return 1
-    return max(1, min(cpus, lines // _MIN_SHARE_LINES))
+    return max(1, min(cpus, work // _MIN_SHARE_LINES))
 
 
 def _split(entries: list, count: int) -> list[list]:
@@ -347,14 +348,16 @@ def _emit(args: argparse.Namespace, tol: Tolerances, command: str, digest: str, 
 
 
 def _run_batch(args: argparse.Namespace, tol: Tolerances, command: str, worker,
-               tsv_row) -> None:
+               tsv_row, cost=None) -> None:
     """Run worker on every input line and write the report.  The lines are
     cut into contiguous shares, one per usable CPU, each run and encoded in
-    a process of its own."""
+    a process of its own.  cost(T) is the work of one line counted in
+    analyze lines; without it every line counts as one."""
     text = _read_input(args.input)
     entries = parse_catalog(text.splitlines(), numbered=True)
     head, sep, tail, encode = _frame(args, tol, command, _digest(text), tsv_row, not entries)
-    shares = _split(entries, _share_count(len(entries)))
+    work = len(entries) if cost is None else sum([cost(T) for _, T in entries])
+    shares = _split(entries, _share_count(work))
     _write_shares(worker, encode, shares, tol, head, sep, tail)
 
 
@@ -387,15 +390,19 @@ def cmd_switching_class(args: argparse.Namespace, tol: Tolerances) -> int:
         members = [c.key.decode("ascii") for c in sorted(switching_class(T))]
         return {"line": T.line(), "count": len(members), "classes": members}
 
+    # A line costs 2^(n-1) switchings.  Timed on two CPUs, a share wins back
+    # its fork from about 256 switchings of small orders, so 16 switchings
+    # count as one analyze line, and a batch of orders 4 or less never splits.
     _run_batch(args, tol, "switching-class", worker, lambda r: [
-        r["line"], r["count"], " ".join(r["classes"])])
+        r["line"], r["count"], " ".join(r["classes"])], cost=lambda T: 2 ** T.n // 32)
     return EXIT_OK
 
 
 def cmd_count_tight(args: argparse.Namespace, tol: Tolerances) -> int:
-    from ._catalog import _count_tight
+    from ._catalog import _count_tight, _read_catalog
 
-    count, text = _count_tight(args.d, args.catalog)
+    text = _read_catalog(args.catalog) if args.d >= 1 else None
+    count = _count_tight(args.d, text)
     _emit(args, tol, "count-tight", _digest(f"d={args.d}", text or ""), lambda r: [
         r["d"], r["count"], r["catalog_trusted"]], [count.to_json_dict()])
     return EXIT_OK

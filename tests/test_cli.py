@@ -721,6 +721,26 @@ def test_small_batches_do_not_fork(capsys, monkeypatch):
         assert run_cli(capsys, command, "4:111010")[0] == 0
 
 
+def test_switching_class_shares_follow_its_switchings(capsys, monkeypatch):
+    # A line costs 2^(n-1) switchings: a long batch of small orders stays in
+    # one process, while two lines of order 10 earn a share each.
+    real_fork, forks = os.fork, []
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    rng = random.Random(9)
+    small = "".join(random_tournament(2 + k % 3, rng).line() + "\n" for k in range(96))
+    large = "".join(random_tournament(10, rng).line() + "\n" for _ in range(2))
+    assert run_shares(capsys, monkeypatch, None, small, "switching-class")[0] == 0
+    assert forks == []
+    assert run_shares(capsys, monkeypatch, None, large, "switching-class")[0] == 0
+    assert len(forks) == 1 and no_child_left()
+
+
 def test_fork_warning_of_threaded_pythons_stays_off_stderr(capsys, monkeypatch):
     # Python 3.12+ warns in os.fork when the process has threads, as it
     # does with OpenBLAS's default thread pool; stand in for that warning.
