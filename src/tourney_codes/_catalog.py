@@ -90,11 +90,11 @@ def _parse_drt(order: int, text: str | None) -> DrtCatalog:
     if text is None:
         return _builtin_catalog(order)
     seen: dict = {}
-    for T in parse_catalog(text.splitlines()):
+    for k, T in parse_catalog(text.splitlines(), numbered=True):
         if T.n != order:
-            raise InputError(f"catalog entry has order {T.n}, expected {order}")
+            raise InputError(f"line {k}: catalog entry has order {T.n}, expected {order}")
         if is_doubly_regular(T) is None:
-            raise InputError(f"catalog entry {T.line()} is not doubly regular")
+            raise InputError(f"line {k}: catalog entry {T.line()} is not doubly regular")
         seen.setdefault(canonical_form(T), T)
     return DrtCatalog(order, tuple(seen[k] for k in sorted(seen)), True)
 

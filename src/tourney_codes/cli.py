@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from json.encoder import encode_basestring_ascii
@@ -51,8 +52,9 @@ def _tolerances(args: argparse.Namespace) -> Tolerances:
         "TOURNEY_CODES_EIG_TOL", CLUSTER_GAP_FACTOR)
     beta = args.beta_tol if args.beta_tol is not None else _env_float(
         "TOURNEY_CODES_BETA_TOL", BETA_ZERO_TOL)
-    if eig <= 0 or beta <= 0:
-        raise InputError("tolerances must be positive")
+    # NaN fails both comparisons, so it is refused with infinity.
+    if not (0 < eig < math.inf and 0 < beta < math.inf):
+        raise InputError("tolerances must be positive and finite")
     return Tolerances(cluster_gap_factor=eig, beta_zero=beta)
 
 

@@ -8,6 +8,15 @@ of the odd bound (n = 2d, d odd) splits into two mutually exclusive
 shapes: a doubly regular tournament with one vertex deleted, or a
 tournament whose squared Seidel matrix is diag(kI + lJ, kI + lJ).
 
+Each certificate is one comparison of the integer matrix
+S^2 = KK^T, K = A - A^T, with a closed form:
+
+- DRT: S^2 = nI - J;
+- SkewHadamard: S^2 = (n - 1)I;
+- DrtMinusVertex: S'^2 = (n + 1)I - J for the degree-forced one-vertex
+  extension, that is, the extension is a DRT;
+- BlockForm: S^2 = diag(kI + lJ, kI + lJ) after relabelling, k, l > 0.
+
 Catalogs of doubly regular tournaments and the counts of tight codes are
 in _catalog, which the package loads on first use.
 """
@@ -70,32 +79,24 @@ class TightnessReport:
         }
 
 
+def _square_is(T: Tournament, k: int, l: int) -> bool:
+    """True iff S^2 = kI + lJ."""
+    return bool(np.array_equal(seidel_squared(T), k * np.eye(T.n, dtype=np.int64) + l))
+
+
 def is_doubly_regular(T: Tournament) -> DrtParams | None:
     """Parameters of a doubly regular tournament, or None.
 
     Doubly regular means every vertex has the same out-degree and every
     ordered vertex pair has the same number of common out-neighbors.
     """
-    if T.n < 3:
+    # S^2 = nI - J gives S^2 j = 0, so |K^T j|^2 = 0 and T is regular.  A
+    # regular tournament has S^2 = 4AA^T + (n - 4k)J - I, so S^2 = nI - J
+    # exactly when AA^T = ((n + 1)/4)I + ((n - 3)/4)J, which needs n = 3
+    # mod 4 and fixes both parameters.
+    if T.n % 4 != 3 or not _square_is(T, T.n, -1):
         return None
-    A = adjacency(T)
-    degrees = A.sum(axis=1)
-    if not np.all(degrees == degrees[0]):
-        return None
-    Af = A.astype(np.float64)
-    # Exact: every product and partial sum is an integer of size at most n.
-    common = (Af @ Af.T).astype(np.int64)
-    off = common[~np.eye(T.n, dtype=bool)]
-    if not np.all(off == off[0]):
-        return None
-    k = int(degrees[0])
-    lam = int(off[0])
-    # The counting identities force these relations; failing them here
-    # would mean the two checks above are broken.
-    if T.n % 4 != 3 or k != (T.n - 1) // 2 or lam != (T.n - 3) // 4:
-        raise InternalConsistencyError(
-            f"degenerate double regularity parameters (n={T.n}, k={k}, lambda={lam})")
-    return DrtParams(T.n, k, lam)
+    return DrtParams(T.n, (T.n - 1) // 2, (T.n - 3) // 4)
 
 
 def skew_hadamard_check(T: Tournament) -> bool:
@@ -104,7 +105,7 @@ def skew_hadamard_check(T: Tournament) -> bool:
     With K = A - A^T skew, H H^T = (I + K)(I - K) = I - K^2 = I + S^2, so
     the test reads S^2 = (n - 1)I.
     """
-    return bool(np.array_equal(seidel_squared(T), (T.n - 1) * np.eye(T.n, dtype=np.int64)))
+    return _square_is(T, T.n - 1, 0)
 
 
 def block_form_check(T: Tournament) -> BlockFormCert | None:
@@ -116,31 +117,22 @@ def block_form_check(T: Tournament) -> BlockFormCert | None:
     if T.n % 2:
         raise InputError(f"block form check needs an even vertex count, got n={T.n}")
     n = T.n
+    if n < 4:
+        # Halves of one vertex have no off-diagonal entry to carry l.
+        return None
     S2 = seidel_squared(T)
-    offdiag = ~np.eye(n, dtype=bool)
-    support = (S2 != 0) & offdiag
-    if not support.any():
-        # l = 0 would collapse the two blocks into a scalar matrix; that is
-        # the skew Hadamard regime, not a block form.
+    # In a block form, row 0 of S^2 is nonzero exactly on vertex 0's block,
+    # and l is its entry at any other member of that block.
+    block = S2[0] != 0
+    first = np.flatnonzero(block).tolist()
+    if len(first) != n // 2:
         return None
-    # In a block form, row 0 of S^2 is nonzero exactly on vertex 0's block.
-    first = np.flatnonzero(S2[0])
-    second = np.flatnonzero(S2[0] == 0)
-    if len(first) != n // 2 or S2[np.ix_(first, second)].any():
-        return None
-    first, second = first.tolist(), second.tolist()
-    inside = ~np.eye(n // 2, dtype=bool)
-    values = set()
-    for comp in (first, second):
-        values.update(S2[np.ix_(comp, comp)][inside].tolist())
-    if len(values) != 1:
-        return None
-    l = values.pop()
-    if l <= 0:
-        return None
+    l = int(S2[0, first[1]])
     k = n - 1 - l
-    if k <= 0:
+    if l <= 0 or k <= 0 or not np.array_equal(
+            S2, k * np.eye(n, dtype=np.int64) + l * np.equal.outer(block, block)):
         return None
+    second = np.flatnonzero(~block).tolist()
     # A block form forces each half to induce a regular subtournament of
     # odd order; a violation here is a bug, not a property of the input.
     d = n // 2
@@ -232,8 +224,8 @@ def classify_code(T: Tournament, tol: Tolerances = DEFAULT_TOLERANCES, *,
     Tight odd-dimension codes must be doubly regular; tight even-dimension
     codes must pass the skew Hadamard check; one short of the odd bound
     exactly one of the deleted-vertex and block-form certificates applies.
-    Each certificate is cross-validated against the spectrum shape, and
-    any disagreement raises InternalConsistencyError.  report, when given,
+    Each certificate is checked once against its spectrum shape, and any
+    disagreement raises InternalConsistencyError.  report, when given,
     must be analyze(T, tol); it is then used instead of a second analysis.
     """
     if T.n < 3:
@@ -254,6 +246,7 @@ def classify_code(T: Tournament, tol: Tolerances = DEFAULT_TOLERANCES, *,
             raise InternalConsistencyError(
                 f"tight code in odd dimension {d} without double regularity")
         kind = "DRT"
+        _expect_shape(report, [d, 1, d], TypeVariant.TYPE1, "tight odd dimension")
     elif is_tight:
         if not skew_hadamard_check(T):
             raise InternalConsistencyError(
@@ -261,6 +254,7 @@ def classify_code(T: Tournament, tol: Tolerances = DEFAULT_TOLERANCES, *,
         kind = "SkewHadamard"
         _expect_shape(report, [d, d], TypeVariant.TYPE2, "tight even dimension")
     elif n == 2 * d and d % 2:
+        # drt_minus_vertex_check already requires its own spectrum shape.
         deleted = drt_minus_vertex_check(T, tol, report=report)
         block = block_form_check(T)
         if deleted == (block is not None):
@@ -269,8 +263,6 @@ def classify_code(T: Tournament, tol: Tolerances = DEFAULT_TOLERANCES, *,
                 "block-form certificates must apply")
         if deleted:
             kind = "DrtMinusVertex"
-            _expect_shape(report, [d - 1, 1, 1, d - 1], TypeVariant.TYPE1,
-                          "deleted-vertex certificate")
         else:
             kind = "BlockForm"
             _expect_shape(report, [1, d - 1, d - 1, 1], TypeVariant.TYPE3,

@@ -326,6 +326,17 @@ def test_nonpositive_tolerance_is_input_error(capsys):
     assert "positive" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("name", ["eig", "beta"])
+def test_non_finite_tolerance_is_input_error(capsys, monkeypatch, name, value):
+    line = paley_tournament(7).line()
+    rc, out, err = run_cli(capsys, "analyze", line, f"--{name}-tol", value)
+    assert (rc, out) == (2, "") and "positive" in err
+    monkeypatch.setenv(f"TOURNEY_CODES_{name.upper()}_TOL", value)
+    rc, out, err = run_cli(capsys, "analyze", line)
+    assert (rc, out) == (2, "") and "positive" in err
+
+
 def test_env_tolerances_and_flag_precedence(capsys, monkeypatch):
     monkeypatch.setenv("TOURNEY_CODES_BETA_TOL", "1e-5")
     _, report, _ = run_json(capsys, "analyze", "3:101")

@@ -17,8 +17,8 @@ from tourney_codes import (BlockFormCert, DrtParams, InputError, InternalConsist
                            TightnessReport, Tournament, TypeVariant, adjacency, analyze,
                            block_form_check, canonical_form, classify_code,
                            count_tight_codes, d_optimal_block, delete_vertex, drt_catalog,
-                           drt_minus_vertex_check, dominated_extension, is_doubly_regular,
-                           paley_tournament, parse_line, random_tournament,
+                           drt_minus_vertex_check, dominated_extension, from_adjacency,
+                           is_doubly_regular, paley_tournament, parse_line, random_tournament,
                            relabel, rep_dimension, seidel_squared,
                            skew_hadamard_check, switch, verify_no_double_zero_spectrum)
 
@@ -81,6 +81,25 @@ def _skew_hadamard_int64(T):
     return bool(np.array_equal(H @ H.T, T.n * np.eye(T.n, dtype=np.int64)))
 
 
+def _circulant(n):
+    """The regular tournament on Z_n with out-set {1, ..., (n - 1)/2}."""
+    return from_adjacency([[int(0 < (v - u) % n <= n // 2) for v in range(n)]
+                           for u in range(n)])
+
+
+def _near_misses():
+    """Tournaments that miss the S^2 identities narrowly: regular circulants
+    that are not doubly regular, switched Paley tournaments, and the block
+    [[P7, J], [0, C7]], whose S^2 has the block support but whose second
+    block carries other values."""
+    circulants = [_circulant(n) for n in (7, 11, 19, 23, 43)]
+    switched = [switch(paley_tournament(q), part) for q in (7, 11, 19, 23, 43)
+                for part in ([0], range(q // 2))]
+    P7, C7 = adjacency(paley_tournament(7)), adjacency(circulants[0])
+    block = from_adjacency(np.block([[P7, np.ones_like(P7)], [np.zeros_like(C7), C7]]))
+    return circulants + switched + [block]
+
+
 def test_certificate_products_match_int64_definitions(classes_by_order):
     paley = [paley_tournament(q) for q in (3, 7, 11, 19, 23, 31, 43, 47, 59, 67, 71, 79, 83)]
     extended = [dominated_extension(P) for P in paley]
@@ -90,6 +109,8 @@ def test_certificate_products_match_int64_definitions(classes_by_order):
     cases += paley + extended + [d_optimal_block(P, P) for P in paley]
     rng = random.Random(83)
     cases += [random_tournament(n, rng) for n in (8, 16, 64) for _ in range(5)]
+    near = _near_misses()
+    cases += near + [dominated_extension(T) for T in near if T.n % 2]
     for T in cases:
         assert is_doubly_regular(T) == _is_doubly_regular_int64(T), T.line()
         assert skew_hadamard_check(T) == _skew_hadamard_int64(T), T.line()
@@ -209,8 +230,12 @@ def test_shared_analysis_gives_the_same_verdicts(classes_by_order, paley7, paley
             assert drt_minus_vertex_check(T, report=report) == drt_minus_vertex_check(T)
 
 
-def test_shared_analysis_is_still_cross_checked(deleted7, block6):
+def test_shared_analysis_is_still_cross_checked(paley7, deleted7, block6):
     # A report whose type contradicts the structure must still be refused.
+    bent = dataclasses.replace(analyze(paley7),
+                               spectrum=analyze(parse_line("7:" + "1" * 21)).spectrum)
+    with pytest.raises(InternalConsistencyError, match="tight odd dimension"):
+        classify_code(paley7, report=bent)
     report = analyze(deleted7)
     bent = dataclasses.replace(
         report, type_class=dataclasses.replace(report.type_class, variant=TypeVariant.TYPE4))
@@ -296,6 +321,8 @@ def test_block_form_matches_component_search(classes_by_order):
         cases += [relabel(block, perm), switch(block, [0]), switch(block, range(q)),
                   delete_vertex(P, 0)]
     cases += [random_tournament(2 * rng.randint(1, 40), rng) for _ in range(200)]
+    block = _near_misses()[-1]
+    cases += [block, relabel(block, list(range(7, 14)) + list(range(7)))]
     certified = 0
     for T in cases:
         cert = block_form_check(T)
@@ -388,17 +415,19 @@ def test_catalog_file_dedupes_isomorphs(tmp_path, paley7):
     assert len(cat.tournaments) == 1 and cat.trusted
 
 
-def test_catalog_file_rejects_wrong_order(tmp_path, cycle3):
+def test_catalog_file_rejects_wrong_order(tmp_path, cycle3, paley7):
+    # Line numbers count the comment and the blank line too.
     path = tmp_path / "bad.txt"
-    path.write_text(cycle3.line() + "\n")
-    with pytest.raises(InputError, match="expected 7"):
+    path.write_text(f"# drt7\n{paley7.line()}\n\n{cycle3.line()}\n")
+    with pytest.raises(InputError, match="^line 4: catalog entry has order 3, expected 7$"):
         drt_catalog(7, str(path))
 
 
-def test_catalog_file_rejects_non_drt(tmp_path, transitive3):
+def test_catalog_file_rejects_non_drt(tmp_path, cycle3, transitive3):
     path = tmp_path / "bad.txt"
-    path.write_text(transitive3.line() + "\n")
-    with pytest.raises(InputError, match="not doubly regular"):
+    path.write_text(f"{cycle3.line()}\n# not doubly regular\n{transitive3.line()}\n")
+    with pytest.raises(InputError, match=f"^line 3: catalog entry {transitive3.line()} "
+                                         "is not doubly regular$"):
         drt_catalog(3, str(path))
 
 
