@@ -15,7 +15,7 @@ from ._constructions import (canonical_form, dominated_extension, enumerate_tour
 from .codes import is_doubly_regular
 from .errors import InputError
 from .spectral import DEFAULT_TOLERANCES, Tolerances, spectrum_of
-from .tournament import Tournament, parse_catalog
+from .tournament import Tournament, _read_ascii, parse_catalog
 
 BUILTIN_CATALOG_ORDERS = (3, 7, 11)
 
@@ -75,13 +75,7 @@ def _builtin_catalog(order: int) -> DrtCatalog:
 
 def _read_catalog(path: str | None) -> str | None:
     """The text of the catalog file at path, or None without a path."""
-    if path is None:
-        return None
-    try:
-        with open(path, "r", encoding="ascii") as handle:
-            return handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read catalog {path!r}: {exc}")
+    return None if path is None else _read_ascii(path, "catalog")
 
 
 def _parse_drt(order: int, text: str | None) -> DrtCatalog:

@@ -24,17 +24,12 @@ from .codes import classify_code
 from .errors import InputError, InternalConsistencyError
 from .representation import analyze, embed
 from .spectral import BETA_ZERO_TOL, CLUSTER_GAP_FACTOR, Tolerances, Spectrum
-from .tournament import Tournament, parse_catalog
+from .tournament import Tournament, _read_ascii, parse_catalog
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
-
-# The four isomorphism classes of 4-vertex tournaments, in the fixed order
-# whose embedding dimensions are 3, 2, 3, 2.
-ORDER4_LINES = ("4:111111", "4:111010", "4:011101", "4:011011")
-ORDER4_REP_DIMS = (3, 2, 3, 2)
 
 
 def _env_float(name: str, fallback: float) -> float:
@@ -62,16 +57,15 @@ def _read_input(spec: str) -> str:
     """Input is a literal tournament line, '-' for stdin, or a file path."""
     if ":" in spec and not os.path.exists(spec):
         return spec + "\n"
+    if spec != "-":
+        return _read_ascii(spec, "input")
     try:
-        if spec == "-":
-            text = sys.stdin.read()
-            if not text.isascii():
-                # stdin is decoded by the locale, not as ASCII like a file;
-                # this raises, naming the first character that is not ASCII.
-                text.encode("ascii")
-            return text
-        with open(spec, "r", encoding="ascii") as handle:
-            return handle.read()
+        text = sys.stdin.read()
+        if not text.isascii():
+            # stdin is decoded by the locale, not as ASCII like a file;
+            # this raises, naming the first character that is not ASCII.
+            text.encode("ascii")
+        return text
     except (OSError, UnicodeError) as exc:
         raise InputError(f"cannot read input {spec!r}: {exc}")
 
@@ -160,14 +154,18 @@ class _IndentedEncoder(json.JSONEncoder):
 
 
 def _map_lines(worker, entries: list[tuple[int, Tournament]], tol: Tolerances) -> list:
-    """worker(T, tol) for every numbered entry, in input order."""
+    """worker(T, tol) for every numbered entry, in input order.  An error
+    names its line and keeps its exit code; any exception but InputError is
+    a fault of the program, an InternalConsistencyError (exit 3)."""
     results = []
     for k, T in entries:
         try:
             results.append(worker(T, tol))
         except (InputError, InternalConsistencyError) as exc:
-            # Errors name the input line; the exception type keeps the exit code.
             raise type(exc)(f"line {k}: {T.line()}: {exc}") from None
+        except Exception as exc:
+            raise InternalConsistencyError(
+                f"line {k}: {T.line()}: {type(exc).__name__}: {exc}") from exc
     return results
 
 
@@ -252,10 +250,6 @@ def _fork_share(worker, encode, entries: list, tol: Tolerances):
             text = encode(_map_lines(worker, entries, tol))
         except (InputError, InternalConsistencyError) as exc:
             status = [type(exc).__name__, str(exc)]
-        except Exception as exc:  # reported by the parent, which exits 3
-            status = [InternalConsistencyError.__name__,
-                      f"lines {entries[0][0]}-{entries[-1][0]}: a worker process "
-                      f"raised {type(exc).__name__}: {exc}"]
         with open(write_fd, "w", encoding="utf-8") as pipe:
             pipe.write(json.dumps(status) + "\n")
             pipe.write(text)
@@ -264,12 +258,15 @@ def _fork_share(worker, encode, entries: list, tol: Tolerances):
         os._exit(code)
 
 
-def _read_status(pipe) -> None:
-    """Read a child's status line and raise the error it names, if any."""
+def _read_status(pipe, entries: list) -> None:
+    """Read the status line of the child that ran entries and raise the
+    error it names, if any."""
     try:
         status = json.loads(pipe.readline())
     except ValueError:
-        raise InternalConsistencyError("a worker process ended without a report") from None
+        raise InternalConsistencyError(
+            f"lines {entries[0][0]}-{entries[-1][0]}: a worker process ended "
+            f"without a report") from None
     if status is not None:
         error, detail = status
         raise (InputError if error == InputError.__name__ else InternalConsistencyError)(detail)
@@ -289,8 +286,8 @@ def _write_shares(worker, encode, shares: list[list], tol: Tolerances,
         for entries in shares[1:]:
             children.append(_fork_share(worker, encode, entries, tol))
         text = encode(_map_lines(worker, shares[0], tol))
-        for _, pipe in children:
-            _read_status(pipe)
+        for (_, pipe), entries in zip(children, shares[1:]):
+            _read_status(pipe, entries)
         sys.stdout.write(head)
         sys.stdout.write(text)
         del text
@@ -413,7 +410,7 @@ def cmd_count_tight(args: argparse.Namespace, tol: Tolerances) -> int:
 def cmd_verify_paper(args: argparse.Namespace, tol: Tolerances) -> int:
     from ._paper import paper_checks
 
-    checks = paper_checks(args.level, tol, (ORDER4_LINES, ORDER4_REP_DIMS))
+    checks = paper_checks(args.level, tol)
     results = [{"id": name, "pass": ok, "detail": detail} for name, ok, detail in checks]
     all_pass = all(r["pass"] for r in results)
     _emit(args, tol, "verify-paper", _digest(f"level={args.level}"), lambda r: [

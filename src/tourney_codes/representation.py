@@ -221,18 +221,10 @@ def analyze(T: Tournament, tol: Tolerances = DEFAULT_TOLERANCES) -> RepReport:
     return RepReport(T.n, tc, rep, alpha, spectrum, T)
 
 
-def gram_matrix(T: Tournament, alpha: complex, expected_rank: int | None = None) -> np.ndarray:
-    """G = I + alpha A + conj(alpha) A^T.
-
-    With expected_rank given, G is verified positive semidefinite with
-    exactly n - expected_rank eigenvalues below the rank cutoff; any
-    disagreement raises InternalConsistencyError.
-    """
+def gram_matrix(T: Tournament, alpha: complex) -> np.ndarray:
+    """G = I + alpha A + conj(alpha) A^T."""
     A = adjacency(T)
-    G = np.eye(T.n, dtype=np.complex128) + alpha * A + np.conj(alpha) * A.T
-    if expected_rank is not None:
-        _rank_cutoff(np.linalg.eigvalsh(G), expected_rank)
-    return G
+    return np.eye(T.n, dtype=np.complex128) + alpha * A + np.conj(alpha) * A.T
 
 
 def _rank_cutoff(w: np.ndarray, expected_rank: int) -> float:
@@ -270,11 +262,11 @@ def embed(T: Tournament, tol: Tolerances = DEFAULT_TOLERANCES) -> Embedding:
     return Embedding(report.rep_dim, vectors, report.alpha, report, verdict.max_deviation)
 
 
-def verify_embedding(emb: Embedding, T: Tournament, tol: float = EMBED_TOL) -> EmbeddingVerdict:
+def verify_embedding(emb: Embedding, T: Tournament) -> EmbeddingVerdict:
     """Check unit norms and that every arc u -> v has <u, v> = alpha.
 
     The inner product is conjugate-linear in the first argument.  Returns
-    the worst deviation over norms and angles.
+    the worst deviation over norms and angles, which passes within EMBED_TOL.
     """
     X = np.asarray(emb.vectors, dtype=np.complex128)
     if X.ndim != 2 or X.shape[0] != T.n:
@@ -291,4 +283,4 @@ def verify_embedding(emb: Embedding, T: Tournament, tol: float = EMBED_TOL) -> E
         worst.append(np.hypot(d.real, d.imag).max())
     # np.max keeps a NaN, which fails the verdict; builtin max may drop it.
     deviation = float(np.max(worst))
-    return EmbeddingVerdict(deviation <= tol, deviation)
+    return EmbeddingVerdict(deviation <= EMBED_TOL, deviation)

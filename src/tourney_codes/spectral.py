@@ -1,9 +1,11 @@
 """Hermitian eigenanalysis and main angles.
 
 The Seidel matrix of a tournament is S = sqrt(-1) (A - A^T).  Everything
-here works on Hermitian matrices in general, with one tournament-specific
-extra: for Seidel matrices the square S^2 is an integer matrix, which
-supports an exact-arithmetic cross-check of borderline main-angle zeros.
+here works on Hermitian matrices in general, and main angles are always
+taken against the all-ones vector j, as in the paper.  One extra is
+tournament-specific: for Seidel matrices the square S^2 is an integer
+matrix, which supports an exact-arithmetic cross-check of borderline
+main-angle zeros.
 The rank-one shift identities are in _shifts, which the package loads on
 first use.
 """
@@ -102,7 +104,7 @@ def seidel_matrix(T: Tournament) -> np.ndarray:
     return 1j * (A - A.T).astype(np.complex128)
 
 
-def eigensystem(H, hermitian_tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:
+def eigensystem(H) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and an orthonormal eigenbasis of a Hermitian matrix.
 
     Returns (w, V) with H V = V diag(w).  The decomposition is validated:
@@ -116,7 +118,7 @@ def eigensystem(H, hermitian_tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np
     if not math.isfinite(peak):  # NaN would pass every check below
         raise InputError("eigensystem needs a finite matrix")
     scale = max(1.0, peak)
-    if float(np.abs(H - H.conj().T).max()) > hermitian_tol * scale:
+    if float(np.abs(H - H.conj().T).max()) > HERMITIAN_TOL * scale:
         raise InputError("matrix is not Hermitian within tolerance")
     w, V = np.linalg.eigh(H)
     residual = float(np.abs(H @ V - V * w).max())
@@ -287,13 +289,14 @@ def _resolve_mainness(taus, betas, s2, tol: Tolerances, cluster_tol: float) -> l
     return flags
 
 
-def group_spectrum(eigenvalues, eigenvectors, j_vector=None, *,
-                   exact_s2=None, tol: Tolerances = DEFAULT_TOLERANCES) -> Spectrum:
+def group_spectrum(eigenvalues, eigenvectors, *, exact_s2=None,
+                   tol: Tolerances = DEFAULT_TOLERANCES) -> Spectrum:
     """Cluster floating eigenvalues and attach main angles.
 
     Consecutive eigenvalues closer than cluster_gap_factor * max(1, radius)
     share a cluster.  For cluster i with projector E_i, the main angle is
-    beta_i = |E_i j| / sqrt(n).  Gaps inside [tol, 10 tol) are flagged as
+    beta_i = |E_i j| / sqrt(n), always against the all-ones vector j, so the
+    squares sum to one.  Gaps inside [tol, 10 tol) are flagged as
     ambiguous-clustering warnings.  exact_s2, when given, must be the
     integer square of the analyzed Seidel matrix and is used to settle
     main angles in the ambiguous floating band.
@@ -303,14 +306,8 @@ def group_spectrum(eigenvalues, eigenvectors, j_vector=None, *,
     n = len(w)
     if n == 0 or V.shape != (n, n):
         raise InputError("eigenvalues and eigenvectors have mismatched shapes")
-    if j_vector is None:
-        j = np.ones(n)
-    else:
-        j = np.asarray(j_vector, dtype=np.complex128)
-        if j.shape != (n,):
-            raise InputError("j vector has the wrong length")
-    if not (np.isfinite(w).all() and np.isfinite(V).all() and np.isfinite(j).all()):
-        raise InputError("group_spectrum needs finite eigenvalues, eigenvectors and j")
+    if not (np.isfinite(w).all() and np.isfinite(V).all()):
+        raise InputError("group_spectrum needs finite eigenvalues and eigenvectors")
     order = np.argsort(w, kind="stable")
     w = w[order]
     V = V[:, order]
@@ -330,7 +327,7 @@ def group_spectrum(eigenvalues, eigenvectors, j_vector=None, *,
 
     # The bits of a numpy-scalar loop: np.mean of one point is 0.0 + point, and
     # squares add in order (builtin sum is compensated from Python 3.12 on).
-    proj = (V.conj().T @ j).tolist()
+    proj = (V.conj().T @ np.ones(n)).tolist()
     taus, betas = [], []
     for idx in clusters:
         taus.append(0.0 + wl[idx[0]] if len(idx) == 1 else float(np.mean(w[idx])))
@@ -339,12 +336,10 @@ def group_spectrum(eigenvalues, eigenvectors, j_vector=None, *,
             acc += abs(proj[k]) ** 2
         betas.append(math.sqrt(acc / n))
 
-    expected = float(np.vdot(j, j).real) / n
-    if abs(sum(b * b for b in betas) - expected) > SUM_BETA_SQ_TOL:
+    if abs(sum(b * b for b in betas) - 1.0) > SUM_BETA_SQ_TOL:
         raise InternalConsistencyError("main angle squares do not sum to |j|^2 / n")
 
-    use_exact = exact_s2 if (j_vector is None or bool(np.all(j == 1))) else None
-    flags = _resolve_mainness(taus, betas, use_exact, tol, gap_tol)
+    flags = _resolve_mainness(taus, betas, exact_s2, tol, gap_tol)
     lines = tuple(SpectralLine(t, len(idx), b, f)
                   for t, idx, b, f in zip(taus, clusters, betas, flags))
     return Spectrum(n, lines, gap_tol, tuple(warnings))

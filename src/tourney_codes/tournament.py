@@ -74,22 +74,15 @@ class Tournament:
         return f"{self.n}:{self.bitstring()}"
 
 
-def build(n: int, arc_bits) -> Tournament:
-    """Build a tournament from its upper-triangle bit pattern.
-
-    arc_bits may be a string of '0'/'1' characters or any sequence of
-    values equal to 0 or 1, one per vertex pair in row-major order.
-    """
-    if isinstance(arc_bits, str):
-        bad = _NOT_A_BIT.search(arc_bits)
-        if bad is not None:
-            raise InputError(f"arc bit string may contain only 0 and 1, got {bad.group()!r}")
-        upper = np.frombuffer(arc_bits.encode("ascii"), np.uint8) - ord("0")
-    else:
-        seq = list(arc_bits)
-        if any(b not in (0, 1) for b in seq):
-            raise InputError("arc bits must all be 0 or 1")
-        upper = np.array(seq, dtype=np.uint8)
+def build(n: int, arc_bits: str) -> Tournament:
+    """Build a tournament from its upper-triangle bit string: one '0'/'1'
+    character per vertex pair, in row-major order."""
+    if not isinstance(arc_bits, str):
+        raise InputError(f"arc bits must be a string of 0 and 1, got {type(arc_bits).__name__}")
+    bad = _NOT_A_BIT.search(arc_bits)
+    if bad is not None:
+        raise InputError(f"arc bit string may contain only 0 and 1, got {bad.group()!r}")
+    upper = np.frombuffer(arc_bits.encode("ascii"), np.uint8) - ord("0")
     if n < 1:
         raise InputError(f"a tournament needs at least one vertex, got n={n}")
     want = n * (n - 1) // 2
@@ -123,6 +116,16 @@ def parse_catalog(lines: Iterable[str], *, numbered: bool = False) -> list:
             raise InputError(f"line {k}: {exc}") from None
         out.append((k, T) if numbered else T)
     return out
+
+
+def _read_ascii(path: str, what: str) -> str:
+    """The text of the ASCII file at path; what names it in the InputError
+    raised when it cannot be opened or decoded."""
+    try:
+        with open(path, "r", encoding="ascii") as handle:
+            return handle.read()
+    except (OSError, UnicodeError) as exc:
+        raise InputError(f"cannot read {what} {path!r}: {exc}")
 
 
 @lru_cache(maxsize=32)

@@ -18,7 +18,7 @@ from tourney_codes import (DrtParams, analyze, char_identity_residual,
                            skew_hadamard_check, spectrum_of, switching_class,
                            verify_embedding, verify_no_double_zero_spectrum)
 
-ORDER4_LINES = ("4:111111", "4:111010", "4:011101", "4:011011")
+from conftest import ORDER4_LINES
 
 
 def _line(ok: bool, label: str, detail: str) -> None:

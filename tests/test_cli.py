@@ -24,7 +24,8 @@ from tourney_codes import (DEFAULT_TOLERANCES, EmbeddingVerdict, InternalConsist
 from tourney_codes.spectral import SpectralLine, Spectrum
 from tourney_codes import cli, representation
 from tourney_codes._paper import _check_embed_all
-from tourney_codes.cli import ORDER4_LINES, _IndentedEncoder, main
+from tourney_codes.cli import _IndentedEncoder, main
+from conftest import ORDER4_LINES
 
 
 def run_cli(capsys, *argv):
@@ -111,8 +112,8 @@ def fail_verification(monkeypatch, failing=lambda T: True):
     """Make embed's own check fail on every tournament failing(T) accepts."""
     real = representation.verify_embedding
 
-    def verify(emb, T, *args):
-        verdict = real(emb, T, *args)
+    def verify(emb, T):
+        verdict = real(emb, T)
         return EmbeddingVerdict(False, 0.25) if failing(T) else verdict
 
     monkeypatch.setattr(representation, "verify_embedding", verify)
@@ -713,8 +714,30 @@ def test_a_failing_child_share_writes_nothing(capsys, monkeypatch, failure):
 
     monkeypatch.setattr("tourney_codes.cli.analyze", broken)
     rc, out, err = run_shares(capsys, monkeypatch, 2, text, "analyze")
-    assert rc != 0 and out == ""
-    assert ("RuntimeError: worker bug" if failure == "raise" else "without a report") in err
+    # the 11 lines split 5 + 6, so the child runs lines 6-11
+    assert (rc, out) == (3, "")
+    assert err == "internal consistency error: " + (
+        f"line 11: {last}: RuntimeError: worker bug\n" if failure == "raise" else
+        "lines 6-11: a worker process ended without a report\n")
+    assert no_child_left()
+
+
+@pytest.mark.parametrize("where", [0, -1], ids=["first-line", "last-line"])
+def test_an_unexpected_error_fails_alike_in_any_share(capsys, monkeypatch, where):
+    text = share_batch()
+    lines = text.splitlines()
+    bad = lines[where]
+
+    def broken(T, tol):
+        if T.line() == bad:
+            raise RuntimeError("worker bug")
+        return analyze(T, tol)
+
+    monkeypatch.setattr("tourney_codes.cli.analyze", broken)
+    k = where % len(lines) + 1
+    want = (3, "", f"internal consistency error: line {k}: {bad}: RuntimeError: worker bug\n")
+    for shares in (1, 2, 3):
+        assert run_shares(capsys, monkeypatch, shares, text, "analyze") == want
     assert no_child_left()
 
 

@@ -138,36 +138,38 @@ def test_absolute_bound_all_small_orders(classes_by_order):
 
 
 def test_gram_eigenvalues_cycle(cycle3):
-    G = gram_matrix(cycle3, optimal_alpha(cycle3), expected_rank=1)
+    G = gram_matrix(cycle3, optimal_alpha(cycle3))
     assert np.linalg.eigvalsh(G) == pytest.approx([0, 0, 3], abs=1e-9)
 
 
 def test_gram_eigenvalues_skew_class():
     T = parse_line("4:111010")
-    G = gram_matrix(T, optimal_alpha(T), expected_rank=2)
+    G = gram_matrix(T, optimal_alpha(T))
     assert np.linalg.eigvalsh(G) == pytest.approx([0, 0, 2, 2], abs=1e-9)
 
 
 def test_gram_eigenvalues_paley_seven(paley7):
-    G = gram_matrix(paley7, optimal_alpha(paley7), expected_rank=3)
+    G = gram_matrix(paley7, optimal_alpha(paley7))
     assert np.linalg.eigvalsh(G) == pytest.approx([0] * 4 + [7 / 3] * 3, abs=1e-9)
 
 
 def test_gram_eigenvalues_block(block6):
-    G = gram_matrix(block6, optimal_alpha(block6), expected_rank=3)
+    G = gram_matrix(block6, optimal_alpha(block6))
     assert np.linalg.eigvalsh(G) == pytest.approx([0, 0, 0, 1.5, 1.5, 3], abs=1e-9)
 
 
 def test_gram_rank_mismatch_raises(cycle3):
+    G = gram_matrix(cycle3, optimal_alpha(cycle3))
     with pytest.raises(InternalConsistencyError, match="rank"):
-        gram_matrix(cycle3, optimal_alpha(cycle3), expected_rank=2)
+        representation._rank_cutoff(np.linalg.eigvalsh(G), 2)
 
 
 def test_gram_rejects_non_psd_angle(cycle3):
     # far from the optimal angle the witness matrix picks up a negative
     # eigenvalue, which the rank check must refuse to certify
+    G = gram_matrix(cycle3, -0.9j)
     with pytest.raises(InternalConsistencyError, match="negative"):
-        gram_matrix(cycle3, -0.9j, expected_rank=1)
+        representation._rank_cutoff(np.linalg.eigvalsh(G), 1)
 
 
 # -------------------------------------------------------------- embeddings

@@ -147,28 +147,15 @@ def test_spectrum_json_shape(cycle3):
 def test_group_spectrum_rejects_bad_shapes():
     with pytest.raises(InputError):
         group_spectrum([0.0, 1.0], np.eye(3))
-    with pytest.raises(InputError):
-        group_spectrum([0.0, 1.0], np.eye(2), j_vector=[1.0, 1.0, 1.0])
 
 
-@pytest.mark.parametrize("where", ["eigenvalue", "eigenvector", "j"])
+@pytest.mark.parametrize("where", ["eigenvalue", "eigenvector"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_group_spectrum_rejects_non_finite_input(where, bad):
-    w, V, j = np.array([-1.0, 1.0]), np.eye(2, dtype=complex), np.ones(2)
-    {"eigenvalue": w, "eigenvector": V, "j": j}[where][0] = bad
+    w, V = np.array([-1.0, 1.0]), np.eye(2, dtype=complex)
+    {"eigenvalue": w, "eigenvector": V}[where][0] = bad
     with pytest.raises(InputError, match="finite"):
-        group_spectrum(w, V, j_vector=j)
-
-
-def test_group_spectrum_custom_j_vector(cycle3):
-    # Projecting onto an eigenvector concentrates the whole (rescaled)
-    # weight |j|^2 / n on its own line.
-    w, V = eigensystem(seidel_matrix(cycle3))
-    spec = group_spectrum(w, V, j_vector=V[:, 0])
-    betas = [l.beta for l in spec.lines]
-    assert betas[0] == pytest.approx(3 ** -0.5, abs=1e-12)
-    assert betas[1] == pytest.approx(0.0, abs=1e-9)
-    assert betas[2] == pytest.approx(0.0, abs=1e-9)
+        group_spectrum(w, V)
 
 
 def test_grouping_stable_under_tiny_perturbation(cycle3):
@@ -203,20 +190,14 @@ def test_sub_tolerance_gap_merges():
 # ------------------------------------ the scalar loop against numpy scalars
 
 
-def _group_spectrum_reference(eigenvalues, eigenvectors, j_vector=None, *,
-                              exact_s2=None, tol=DEFAULT_TOLERANCES):
+def _group_spectrum_reference(eigenvalues, eigenvectors, *, exact_s2=None,
+                              tol=DEFAULT_TOLERANCES):
     """group_spectrum as a loop over numpy scalars, kept as the reference."""
     w = np.asarray(eigenvalues, dtype=np.float64)
     V = np.asarray(eigenvectors, dtype=np.complex128)
     n = len(w)
     if n == 0 or V.shape != (n, n):
         raise InputError("eigenvalues and eigenvectors have mismatched shapes")
-    if j_vector is None:
-        j = np.ones(n)
-    else:
-        j = np.asarray(j_vector, dtype=np.complex128)
-        if j.shape != (n,):
-            raise InputError("j vector has the wrong length")
     order = np.argsort(w, kind="stable")
     w = w[order]
     V = V[:, order]
@@ -233,19 +214,17 @@ def _group_spectrum_reference(eigenvalues, eigenvectors, j_vector=None, *,
                 f"ambiguous clustering: gap {gap:.3e} near tau={w[a[-1]]:.6f} "
                 f"is within a factor 10 of the tolerance {gap_tol:.3e}")
 
-    proj = V.conj().T @ j
+    proj = V.conj().T @ np.ones(n)
     taus, mults, betas = [], [], []
     for idx in clusters:
         taus.append(float(np.mean(w[idx])))
         mults.append(len(idx))
         betas.append(float(np.sqrt(sum(abs(proj[k]) ** 2 for k in idx) / n)))
 
-    expected = float(np.vdot(j, j).real) / n
-    if abs(sum(b * b for b in betas) - expected) > spectral.SUM_BETA_SQ_TOL:
+    if abs(sum(b * b for b in betas) - 1.0) > spectral.SUM_BETA_SQ_TOL:
         raise InternalConsistencyError("main angle squares do not sum to |j|^2 / n")
 
-    use_exact = exact_s2 if (j_vector is None or bool(np.all(j == 1))) else None
-    flags = spectral._resolve_mainness(taus, betas, use_exact, tol, gap_tol)
+    flags = spectral._resolve_mainness(taus, betas, exact_s2, tol, gap_tol)
     lines = tuple(spectral.SpectralLine(t, m, b, f)
                   for t, m, b, f in zip(taus, mults, betas, flags))
     return spectral.Spectrum(n, lines, gap_tol, tuple(warnings))
@@ -257,9 +236,9 @@ def _spectrum_bits(spec):
             tuple(l.main for l in spec.lines), spec.warnings)
 
 
-def _assert_same_bits(w, V, j=None, s2=None):
-    want = _group_spectrum_reference(w, V, j, exact_s2=s2)
-    got = group_spectrum(w, V, j, exact_s2=s2)
+def _assert_same_bits(w, V, s2=None):
+    want = _group_spectrum_reference(w, V, exact_s2=s2)
+    got = group_spectrum(w, V, exact_s2=s2)
     assert _spectrum_bits(got) == _spectrum_bits(want)
     # The CLI writer prints these with %r and %d, so they must be Python scalars.
     assert all(type(l.tau) is float and type(l.beta) is float and type(l.mult) is int
@@ -298,8 +277,6 @@ def test_group_spectrum_matches_numpy_scalar_loop_on_hermitian_matrices():
             H = (Q * rng.integers(-2, 3, size=n)) @ Q.conj().T
         w, V = np.linalg.eigh(H)
         _assert_same_bits(w, V)
-        _assert_same_bits(w, V, rng.normal(size=n) + 1j * rng.normal(size=n))
-        _assert_same_bits(w, V, np.ones(n))
 
 
 def test_group_spectrum_matches_numpy_scalar_loop_at_edges():
