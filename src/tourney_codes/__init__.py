@@ -34,8 +34,8 @@ _LAZY = {
     **dict.fromkeys(("DrtCatalog", "TightCodeCount", "count_tight_codes", "drt_catalog",
                      "verify_no_double_zero_spectrum"), "_catalog"),
     **dict.fromkeys(("CharIdentityResult", "InterlacingVerdict", "char_identity_residual",
-                     "multiplicity_profile", "optimal_alpha", "rep_dimension",
-                     "shifted_main_spectrum", "witness_shift"), "_shifts"),
+                     "multiplicity_profile", "shifted_main_spectrum", "witness_shift"),
+                    "_shifts"),
 }
 
 __all__ = sorted([name for name in globals() if not name.startswith("_")] + list(_LAZY))

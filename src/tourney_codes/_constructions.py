@@ -103,6 +103,10 @@ def d_optimal_block(T1: Tournament, T2: Tournament) -> Tournament:
     """Stack two doubly regular tournaments of the same order d as
     [[A1, J], [0, A2]]: every vertex of the first copy beats every
     vertex of the second copy.
+
+    The result has S^2 = diag(dI + (d - 1)J, dI + (d - 1)J), the block
+    form with (k, l) = (d, d - 1).  Only at d = 3 is that the Ehlich form
+    diag((n - 2)I + 2J, (n - 2)I + 2J) of a skew D-optimal design.
     """
     if T1.n != T2.n:
         raise InputError(f"block construction needs equal orders, got {T1.n} and {T2.n}")

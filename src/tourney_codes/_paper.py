@@ -58,7 +58,7 @@ def _check_certificates(n_max: int, tol: Tolerances) -> tuple[bool, str]:
     kinds: dict[str, int] = {}
     for n in range(3, n_max + 1):
         for T in enumerate_tournaments(n):
-            report = classify_code(T, tol)
+            report = classify_code(analyze(T, tol))
             kinds[report.certificate_kind] = kinds.get(report.certificate_kind, 0) + 1
     detail = ", ".join(f"{k}={v}" for k, v in sorted(kinds.items()))
     return True, f"certificates consistent: {detail}"

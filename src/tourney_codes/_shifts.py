@@ -3,8 +3,7 @@
 The characteristic identity det(M - xI) = det(H - xI)(1 + a sum_i
 n beta_i^2 / (tau_i - x)), the interlacing of main spectra under a shift,
 the smallest-eigenvalue multiplicity of aJ + S along a list of shifts, and
-the shift that attains n - rep_dim; with them the one-value shortcuts
-rep_dimension and optimal_alpha.  analyze and embed use none of it, so
+the shift that attains n - rep_dim.  analyze and embed use none of it, so
 the package loads this module on first use.
 """
 
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .representation import RepReport, TypeVariant, analyze
+from .representation import RepReport, TypeVariant
 from .spectral import (DEFAULT_TOLERANCES, MainSpectrum, Tolerances, cluster, eigensystem,
                        group_spectrum, seidel_matrix)
 from .tournament import Tournament
@@ -115,14 +114,6 @@ def shifted_main_spectrum(H, a: float, tol: Tolerances = DEFAULT_TOLERANCES
     verdict = InterlacingVerdict(len(main_h.taus), len(main_m.taus),
                                  not violations, tuple(violations))
     return main_m, verdict
-
-
-def rep_dimension(T: Tournament, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
-    return analyze(T, tol).rep_dim
-
-
-def optimal_alpha(T: Tournament, tol: Tolerances = DEFAULT_TOLERANCES) -> complex:
-    return analyze(T, tol).alpha
 
 
 def multiplicity_profile(T: Tournament, a_values,

@@ -153,14 +153,14 @@ class _IndentedEncoder(json.JSONEncoder):
         return table % tuple(values)
 
 
-def _map_lines(worker, entries: list[tuple[int, Tournament]], tol: Tolerances) -> list:
-    """worker(T, tol) for every numbered entry, in input order.  An error
+def _map_lines(worker, entries: list[tuple[int, Tournament]]) -> list:
+    """worker(T) for every numbered entry, in input order.  An error
     names its line and keeps its exit code; any exception but InputError is
     a fault of the program, an InternalConsistencyError (exit 3)."""
     results = []
     for k, T in entries:
         try:
-            results.append(worker(T, tol))
+            results.append(worker(T))
         except (InputError, InternalConsistencyError) as exc:
             raise type(exc)(f"line {k}: {T.line()}: {exc}") from None
         except Exception as exc:
@@ -174,7 +174,7 @@ def _analyze_worker(T: Tournament, tol: Tolerances) -> dict:
     out = {"line": T.line()}
     out.update(report.to_json_dict(spectrum=report.spectrum))
     if T.n >= 3:
-        out["tightness"] = classify_code(T, tol, report=report).to_json_dict()
+        out["tightness"] = classify_code(report).to_json_dict()
     return out
 
 
@@ -218,7 +218,7 @@ def _split(entries: list, count: int) -> list[list]:
     return [entries[k * n // count:(k + 1) * n // count] for k in range(count)]
 
 
-def _fork_share(worker, encode, entries: list, tol: Tolerances):
+def _fork_share(worker, encode, entries: list):
     """Run one share in a child process; returns the child's pid and its pipe.
 
     The child writes one JSON status line, null or [error class name,
@@ -247,7 +247,7 @@ def _fork_share(worker, encode, entries: list, tol: Tolerances):
         os.close(read_fd)
         text, status = "", None
         try:
-            text = encode(_map_lines(worker, entries, tol))
+            text = encode(_map_lines(worker, entries))
         except (InputError, InternalConsistencyError) as exc:
             status = [type(exc).__name__, str(exc)]
         with open(write_fd, "w", encoding="utf-8") as pipe:
@@ -272,8 +272,8 @@ def _read_status(pipe, entries: list) -> None:
         raise (InputError if error == InputError.__name__ else InternalConsistencyError)(detail)
 
 
-def _write_shares(worker, encode, shares: list[list], tol: Tolerances,
-                  head: str, sep: str, tail: str) -> None:
+def _write_shares(worker, encode, shares: list[list], head: str, sep: str,
+                  tail: str) -> None:
     """Write head, the text of every share joined by sep, then tail.
 
     The first share runs in this process and every other one in a child
@@ -284,8 +284,8 @@ def _write_shares(worker, encode, shares: list[list], tol: Tolerances,
     children = []
     try:
         for entries in shares[1:]:
-            children.append(_fork_share(worker, encode, entries, tol))
-        text = encode(_map_lines(worker, shares[0], tol))
+            children.append(_fork_share(worker, encode, entries))
+        text = encode(_map_lines(worker, shares[0]))
         for (_, pipe), entries in zip(children, shares[1:]):
             _read_status(pipe, entries)
         sys.stdout.write(head)
@@ -357,18 +357,18 @@ def _run_batch(args: argparse.Namespace, tol: Tolerances, command: str, worker,
     head, sep, tail, encode = _frame(args, tol, command, _digest(text), tsv_row, not entries)
     work = len(entries) if cost is None else sum([cost(T) for _, T in entries])
     shares = _split(entries, _share_count(work))
-    _write_shares(worker, encode, shares, tol, head, sep, tail)
+    _write_shares(worker, encode, shares, head, sep, tail)
 
 
 def cmd_analyze(args: argparse.Namespace, tol: Tolerances) -> int:
-    _run_batch(args, tol, "analyze", _analyze_worker, lambda r: [
+    _run_batch(args, tol, "analyze", lambda T: _analyze_worker(T, tol), lambda r: [
         r["line"], r["type"], r["rep_dim"], r["alpha"]["re"], r["alpha"]["im"],
         r.get("tightness", {}).get("certificate", {}).get("kind", "")])
     return EXIT_OK
 
 
 def cmd_embed(args: argparse.Namespace, tol: Tolerances) -> int:
-    _run_batch(args, tol, "embed", _embed_worker, lambda r: [
+    _run_batch(args, tol, "embed", lambda T: _embed_worker(T, tol), lambda r: [
         r["line"], r["dimension"], f"{r['max_deviation']:.3e}", r["check_passed"]])
     return EXIT_OK
 
@@ -385,7 +385,7 @@ def cmd_switching_class(args: argparse.Namespace, tol: Tolerances) -> int:
     # Loaded here, before any share forks, so no child imports it again.
     from ._constructions import switching_class
 
-    def worker(T: Tournament, tol: Tolerances) -> dict:
+    def worker(T: Tournament) -> dict:
         members = [c.key.decode("ascii") for c in sorted(switching_class(T))]
         return {"line": T.line(), "count": len(members), "classes": members}
 

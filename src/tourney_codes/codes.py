@@ -28,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, InternalConsistencyError
-from .representation import RepReport, TypeVariant, analyze
-from .spectral import DEFAULT_TOLERANCES, Tolerances
+from .representation import RepReport, TypeVariant
 from .tournament import Tournament, add_vertex, adjacency, seidel_squared
 
 
@@ -161,8 +160,12 @@ def _forced_extension(T: Tournament) -> Tournament | None:
     return add_vertex(T, pattern)
 
 
-def _deleted_drt_spectrum(T: Tournament, report: RepReport) -> bool:
-    d = T.n // 2
+def _deleted_drt_spectrum(report: RepReport) -> bool:
+    # The spectral signature of a doubly regular tournament with one vertex
+    # deleted: eigenvalues -theta, -1, 1, theta with theta^2 = n + 1,
+    # multiplicities d-1, 1, 1, d-1, and a zero bottom main angle.
+    n = report.n
+    d = n // 2
     lines = report.spectrum.lines
     if len(lines) != 4:
         return False
@@ -170,41 +173,22 @@ def _deleted_drt_spectrum(T: Tournament, report: RepReport) -> bool:
         return False
     theta_sq = lines[3].tau ** 2
     phi_sq = lines[2].tau ** 2
-    if abs(theta_sq - (T.n + 1)) > 1e-6 * (T.n + 1) or abs(phi_sq - 1.0) > 1e-6:
+    if abs(theta_sq - (n + 1)) > 1e-6 * (n + 1) or abs(phi_sq - 1.0) > 1e-6:
         return False
     return report.type_class.variant is TypeVariant.TYPE1
 
 
-def drt_minus_vertex_check(T: Tournament, tol: Tolerances = DEFAULT_TOLERANCES, *,
-                           report: RepReport | None = None) -> bool:
+def drt_minus_vertex_check(T: Tournament) -> bool:
     """True iff some one-vertex extension of T is doubly regular.
 
-    The extension is degree-forced, so the search is exact and cheap.  For
-    n >= 6 the equivalent spectral signature (eigenvalues -theta, -1, 1,
-    theta with theta^2 = n + 1, multiplicities d-1, 1, 1, d-1, and a zero
-    bottom main angle) is evaluated as well; the two routes must agree.
-    report, when given, must be analyze(T, tol); its spectrum and type
-    are then used instead of a second analysis.
+    The extension is degree-forced, so the search is exact and cheap.
     """
     if T.n % 2:
         raise InputError(f"deleted-vertex check needs an even vertex count, got n={T.n}")
-    _check_report(T, report)
     if (T.n + 1) % 4 != 3:
         return False
     ext = _forced_extension(T)
-    ext_ok = ext is not None and is_doubly_regular(ext) is not None
-    if T.n >= 6:
-        spectral_ok = _deleted_drt_spectrum(T, analyze(T, tol) if report is None else report)
-        if spectral_ok != ext_ok:
-            raise InternalConsistencyError(
-                "spectral signature and forced-extension search disagree on "
-                f"the deleted-vertex check for n={T.n}")
-    return ext_ok
-
-
-def _check_report(T: Tournament, report: RepReport | None) -> None:
-    if report is not None and report.tournament is not None and report.tournament != T:
-        raise InputError("the shared analysis belongs to a different tournament")
+    return ext is not None and is_doubly_regular(ext) is not None
 
 
 def _expect_shape(report: RepReport, mults: list[int], variant: TypeVariant,
@@ -217,22 +201,20 @@ def _expect_shape(report: RepReport, mults: list[int], variant: TypeVariant,
             f"{mults} with type {int(variant)}")
 
 
-def classify_code(T: Tournament, tol: Tolerances = DEFAULT_TOLERANCES, *,
-                  report: RepReport | None = None) -> TightnessReport:
-    """Tightness report with a structural certificate.
+def classify_code(report: RepReport) -> TightnessReport:
+    """Tightness report with a structural certificate for report.tournament.
 
     Tight odd-dimension codes must be doubly regular; tight even-dimension
     codes must pass the skew Hadamard check; one short of the odd bound
     exactly one of the deleted-vertex and block-form certificates applies.
-    Each certificate is checked once against its spectrum shape, and any
-    disagreement raises InternalConsistencyError.  report, when given,
-    must be analyze(T, tol); it is then used instead of a second analysis.
+    report is what analyze returns.  Each certificate is checked once
+    against its spectrum shape; the deleted-vertex one must hold exactly
+    when the spectrum has its signature.  Any disagreement raises
+    InternalConsistencyError.
     """
+    T = report.tournament
     if T.n < 3:
         raise InputError(f"tightness classification needs n >= 3, got n={T.n}")
-    _check_report(T, report)
-    if report is None:
-        report = analyze(T, tol)
     d = report.rep_dim
     n = T.n
     bound = 2 * d + 1 if d % 2 else 2 * d
@@ -254,8 +236,11 @@ def classify_code(T: Tournament, tol: Tolerances = DEFAULT_TOLERANCES, *,
         kind = "SkewHadamard"
         _expect_shape(report, [d, d], TypeVariant.TYPE2, "tight even dimension")
     elif n == 2 * d and d % 2:
-        # drt_minus_vertex_check already requires its own spectrum shape.
-        deleted = drt_minus_vertex_check(T, tol, report=report)
+        deleted = drt_minus_vertex_check(T)
+        if _deleted_drt_spectrum(report) != deleted:
+            raise InternalConsistencyError(
+                "spectral signature and forced-extension search disagree on "
+                f"the deleted-vertex check for n={n}")
         block = block_form_check(T)
         if deleted == (block is not None):
             raise InternalConsistencyError(

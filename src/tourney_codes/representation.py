@@ -65,7 +65,7 @@ class RepReport:
     rep_dim: int
     alpha: complex
     spectrum: Spectrum
-    tournament: Tournament | None = field(default=None, compare=False, repr=False)
+    tournament: Tournament = field(compare=False, repr=False)
 
     def to_json_dict(self, *, spectrum=None) -> dict:
         """The report as JSON values.
@@ -110,7 +110,7 @@ class EmbeddingVerdict:
     max_deviation: float
 
 
-def _boundary_c2(tau2: float, exact_s2) -> float:
+def _boundary_c2(tau2: float, exact_s2: np.ndarray) -> float:
     """Settle the sign of c2 when its floating terms cancel to noise.
 
     c2 equals tau2 times the resolvent of the squared Seidel matrix at
@@ -119,10 +119,6 @@ def _boundary_c2(tau2: float, exact_s2) -> float:
     floating point and are reported as inconsistencies rather than
     silently classified.
     """
-    if exact_s2 is None:
-        raise InternalConsistencyError(
-            "c2 cancels to floating noise and no integer matrix is available "
-            "to settle its sign")
     sigma = tau2 * tau2
     k = round(sigma)
     if abs(sigma - k) > 1e-6 * max(1.0, sigma):
@@ -142,13 +138,13 @@ def _boundary_c2(tau2: float, exact_s2) -> float:
     return tau2 * float(resolvent)
 
 
-def classify_type(spectrum: Spectrum, *, exact_s2=None) -> TypeClass:
+def classify_type(spectrum: Spectrum, exact_s2: np.ndarray) -> TypeClass:
     """Assign the four-way type from a grouped Seidel spectrum.
 
     The cases are checked in order 1, 2, 3, 4; they are mutually
-    exclusive and exhaustive.  exact_s2, when given, must be the integer
-    square of the underlying Seidel matrix; it settles the sign of c2
-    exactly when the floating sum lands on the zero boundary.
+    exclusive and exhaustive.  exact_s2 is the integer square of the
+    underlying Seidel matrix; it settles the sign of c2 exactly when the
+    floating sum lands on the zero boundary.
     """
     if spectrum.n < 2:
         raise InputError("type classification needs at least two vertices")
@@ -209,7 +205,7 @@ def analyze(T: Tournament, tol: Tolerances = DEFAULT_TOLERANCES) -> RepReport:
     s2 = seidel_squared(T)
     w, V = eigensystem(seidel_matrix(T))
     spectrum = group_spectrum(w, V, exact_s2=s2, tol=tol)
-    tc = classify_type(spectrum, exact_s2=s2)
+    tc = classify_type(spectrum, s2)
     rep = _rep_dim(T.n, tc)
     if not 1 <= rep <= T.n - 1:
         raise InternalConsistencyError(f"embedding dimension {rep} out of range for n={T.n}")

@@ -13,7 +13,7 @@ from tourney_codes import (DrtParams, analyze, char_identity_residual,
                            delete_vertex, dominated_extension, embed,
                            exact_ones_resolvent, is_doubly_regular,
                            multiplicity_profile, paley_tournament, parse_line,
-                           random_tournament, rep_dimension, seidel_matrix,
+                           random_tournament, seidel_matrix,
                            seidel_squared, shifted_main_spectrum,
                            skew_hadamard_check, spectrum_of, switching_class,
                            verify_embedding, verify_no_double_zero_spectrum)
@@ -28,7 +28,7 @@ def _line(ok: bool, label: str, detail: str) -> None:
 
 def test_order_four_dimensions():
     start = time.perf_counter()
-    dims = [rep_dimension(parse_line(line)) for line in ORDER4_LINES]
+    dims = [analyze(parse_line(line)).rep_dim for line in ORDER4_LINES]
     elapsed = time.perf_counter() - start
     ok = dims == [3, 2, 3, 2] and elapsed < 1.0
     _line(ok, "order-4 dimensions", f"{dims} in {elapsed:.2f}s")
@@ -46,7 +46,7 @@ def test_tight_configuration_counts():
 
 def test_seven_vertex_scan(classes_by_order):
     start = time.perf_counter()
-    hits = [T for T in classes_by_order[7] if rep_dimension(T) == 3]
+    hits = [T for T in classes_by_order[7] if analyze(T).rep_dim == 3]
     elapsed = time.perf_counter() - start
     ok = (len(classes_by_order[7]) == 456 and len(hits) == 1
           and is_doubly_regular(hits[0]) == DrtParams(7, 3, 1)
@@ -60,13 +60,13 @@ def test_tightness_equivalences(classes_by_order):
     for n in (3, 5, 7):
         d = (n - 1) // 2
         for T in classes_by_order[n]:
-            tight = d % 2 == 1 and rep_dimension(T) == d
+            tight = d % 2 == 1 and analyze(T).rep_dim == d
             if tight != (is_doubly_regular(T) is not None):
                 bad.append(T.line())
     members = switching_class(dominated_extension(paley_tournament(7)))
     for form in members:
         T = form.tournament()
-        if rep_dimension(T) != 4 or not skew_hadamard_check(T):
+        if analyze(T).rep_dim != 4 or not skew_hadamard_check(T):
             bad.append(T.line())
     ok = not bad and len(members) == 4
     _line(ok, "tightness equivalences",
@@ -76,7 +76,7 @@ def test_tightness_equivalences(classes_by_order):
 
 def test_half_bound_dichotomy():
     deleted = delete_vertex(paley_tournament(7), 0)
-    rep = classify_code(deleted)
+    rep = classify_code(analyze(deleted))
     spec = spectrum_of(deleted)
     root7 = math.sqrt(7.0)
     spectrum_ok = (
@@ -89,7 +89,7 @@ def test_half_bound_dichotomy():
                   and deleted.n == 2 * rep.rep_dim)
 
     block = d_optimal_block(paley_tournament(3), paley_tournament(3))
-    brep = classify_code(block)
+    brep = classify_code(analyze(block))
     block_ok = (brep.certificate_kind == "BlockForm"
                 and (brep.block_form.k, brep.block_form.l) == (3, 2)
                 and brep.rep_dim == 3 and block.n == 2 * brep.rep_dim)
@@ -106,7 +106,7 @@ def test_embed_every_small_class(classes_by_order):
             emb = embed(T)
             verdict = verify_embedding(emb, T)
             worst = max(worst, verdict.max_deviation)
-            ok = emb.dimension == rep_dimension(T) and verdict.max_deviation <= 1e-7
+            ok = emb.dimension == analyze(T).rep_dim and verdict.max_deviation <= 1e-7
             if not ok:
                 _line(False, "embedding sweep", f"failed at {T.line()}")
             checked += 1
@@ -139,7 +139,7 @@ def test_shift_multiplicity_sweep():
     worst_excess = 0
     for _ in range(50):
         T = random_tournament(rng.randrange(2, 8), rng)
-        allowed = T.n - rep_dimension(T)
+        allowed = T.n - analyze(T).rep_dim
         shifts = [rng.uniform(-4, 4) for _ in range(1000)]
         top = max(mult for _, mult in multiplicity_profile(T, shifts))
         worst_excess = max(worst_excess, top - allowed)

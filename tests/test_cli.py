@@ -310,7 +310,7 @@ def test_analyze_matches_separate_library_calls(capsys, monkeypatch):
     assert rc == 0
     for (kind, T), res in zip(planted.items(), report["results"]):
         want = {"line": T.line(), **analyze(T).to_json_dict(),
-                "tightness": classify_code(T).to_json_dict()}
+                "tightness": classify_code(analyze(T)).to_json_dict()}
         assert res == json.loads(json.dumps(want))
         assert res["tightness"]["certificate"]["kind"] == kind
 
@@ -399,11 +399,11 @@ PACKAGE_NAMES = (
     "drt_catalog", "drt_minus_vertex_check", "eigensystem", "embed",
     "enumerate_tournaments", "errors", "exact_integer_eigenvalue", "exact_ones_resolvent",
     "from_adjacency", "gram_matrix", "group_spectrum", "is_doubly_regular",
-    "multiplicity_profile", "optimal_alpha", "paley_tournament", "parse_catalog",
-    "parse_line", "random_tournament", "relabel", "rep_dimension", "representation",
-    "seidel_matrix", "seidel_squared", "shifted_main_spectrum", "skew_hadamard_check",
-    "spectral", "spectrum_of", "switch", "switching_class", "tournament",
-    "verify_embedding", "verify_no_double_zero_spectrum", "witness_shift")
+    "multiplicity_profile", "paley_tournament", "parse_catalog", "parse_line",
+    "random_tournament", "relabel", "representation", "seidel_matrix", "seidel_squared",
+    "shifted_main_spectrum", "skew_hadamard_check", "spectral", "spectrum_of", "switch",
+    "switching_class", "tournament", "verify_embedding", "verify_no_double_zero_spectrum",
+    "witness_shift")
 
 
 def test_every_package_name_resolves_to_its_defining_object():
@@ -575,7 +575,7 @@ def test_analyze_output_matches_the_dict_form(capsys, monkeypatch):
     for T in tournaments:
         result = {"line": T.line(), **analyze(T).to_json_dict()}
         if T.n >= 3:
-            result["tightness"] = classify_code(T).to_json_dict()
+            result["tightness"] = classify_code(analyze(T)).to_json_dict()
         results.append(result)
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     rc, out, _ = run_cli(capsys, "analyze", "-")

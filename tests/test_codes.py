@@ -13,14 +13,15 @@ import numpy as np
 import pytest
 
 import tourney_codes
+from tourney_codes import representation, spectral
 from tourney_codes import (BlockFormCert, DrtParams, InputError, InternalConsistencyError,
                            TightnessReport, Tournament, TypeVariant, adjacency, analyze,
                            block_form_check, canonical_form, classify_code,
                            count_tight_codes, d_optimal_block, delete_vertex, drt_catalog,
                            drt_minus_vertex_check, dominated_extension, from_adjacency,
                            is_doubly_regular, paley_tournament, parse_line, random_tournament,
-                           relabel, rep_dimension, seidel_squared,
-                           skew_hadamard_check, switch, verify_no_double_zero_spectrum)
+                           relabel, seidel_squared, skew_hadamard_check, switch,
+                           verify_no_double_zero_spectrum)
 
 ROTATIONAL5 = "5:1100110111"   # out-degree 2 everywhere, order not 3 mod 4
 
@@ -128,6 +129,17 @@ def test_block_form_large(paley7):
     assert len(cert.partition[0]) == 7
 
 
+@pytest.mark.parametrize("q", [3, 7, 11, 19])
+def test_d_optimal_block_has_l_one_less_than_its_half(q):
+    # S^2 = diag(qI + (q - 1)J, qI + (q - 1)J), whatever the order q
+    P = paley_tournament(q)
+    block = d_optimal_block(P, P)
+    cert = block_form_check(block)
+    assert (cert.k, cert.l) == (q, q - 1)
+    rep = classify_code(analyze(block))
+    assert (rep.certificate_kind, rep.rep_dim) == ("BlockForm", q)
+
+
 def test_block_form_rejects_deleted_vertex(deleted7):
     assert block_form_check(deleted7) is None
 
@@ -166,9 +178,9 @@ def test_deleted_vertex_needs_even_order(cycle3):
 
 
 def test_classify_tight_odd(cycle3, paley7):
-    rep = classify_code(cycle3)
+    rep = classify_code(analyze(cycle3))
     assert rep == TightnessReport(3, 1, 3, True, "DRT", is_doubly_regular(cycle3))
-    rep = classify_code(paley7)
+    rep = classify_code(analyze(paley7))
     assert (rep.rep_dim, rep.bound, rep.is_tight) == (3, 7, True)
     assert rep.certificate_kind == "DRT"
     assert rep.drt_params == DrtParams(7, 3, 1)
@@ -176,7 +188,7 @@ def test_classify_tight_odd(cycle3, paley7):
 
 def test_classify_tight_even(order4):
     for T, tight in zip(order4, (False, True, False, True)):
-        rep = classify_code(T)
+        rep = classify_code(analyze(T))
         assert rep.is_tight == tight
         if tight:
             assert (rep.rep_dim, rep.bound) == (2, 4)
@@ -187,27 +199,27 @@ def test_classify_tight_even(order4):
 
 
 def test_classify_one_short_of_odd_bound(block6, deleted7):
-    rep = classify_code(block6)
+    rep = classify_code(analyze(block6))
     assert not rep.is_tight and rep.certificate_kind == "BlockForm"
     assert rep.block_form == block_form_check(block6)
     assert rep.drt_params is None
-    rep = classify_code(deleted7)
+    rep = classify_code(analyze(deleted7))
     assert not rep.is_tight and rep.certificate_kind == "DrtMinusVertex"
     assert rep.block_form is None
 
 
 def test_classify_plain_tournament(transitive3):
-    rep = classify_code(transitive3)
+    rep = classify_code(analyze(transitive3))
     assert rep == TightnessReport(3, 2, 4, False, "None")
 
 
 def test_classify_needs_three_vertices(two_vertex):
     with pytest.raises(InputError):
-        classify_code(two_vertex)
+        classify_code(analyze(two_vertex))
 
 
 def test_classify_json_shape(block6):
-    d = classify_code(block6).to_json_dict()
+    d = classify_code(analyze(block6)).to_json_dict()
     assert d["certificate"]["kind"] == "BlockForm"
     assert (d["certificate"]["k"], d["certificate"]["l"]) == (3, 2)
     assert d["certificate"]["partition"] == [[0, 1, 2], [3, 4, 5]]
@@ -221,13 +233,37 @@ def _planted(paley7, paley11):
             d_optimal_block(paley7, paley7), d_optimal_block(paley11, paley11)]
 
 
-def test_shared_analysis_gives_the_same_verdicts(classes_by_order, paley7, paley11):
+def _verdicts(report):
+    T = report.tournament
+    out = [classify_code(report), is_doubly_regular(T), skew_hadamard_check(T)]
+    if T.n % 2 == 0:
+        out += [drt_minus_vertex_check(T), block_form_check(T)]
+    return out
+
+
+def test_certificates_run_no_second_analysis(classes_by_order, paley7, paley11,
+                                             monkeypatch):
+    # classify_code reads the spectrum from the report it is given, and the
+    # four predicates are exact integer checks, so none of them analyzes.
     tournaments = [T for n in range(3, 7) for T in classes_by_order[n]]
-    for T in tournaments + _planted(paley7, paley11):
-        report = analyze(T)
-        assert classify_code(T, report=report) == classify_code(T)
-        if T.n % 2 == 0:
-            assert drt_minus_vertex_check(T, report=report) == drt_minus_vertex_check(T)
+    reports = [analyze(T) for T in tournaments + _planted(paley7, paley11)]
+    want = [_verdicts(report) for report in reports]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a certificate check ran a second analysis")
+
+    monkeypatch.setattr(representation, "analyze", refuse)
+    monkeypatch.setattr(representation, "eigensystem", refuse)
+    monkeypatch.setattr(spectral, "eigensystem", refuse)
+    assert [_verdicts(report) for report in reports] == want
+
+
+def _moved(report, k, delta):
+    """report with the k-th eigenvalue of its spectrum moved by delta."""
+    lines = list(report.spectrum.lines)
+    lines[k] = dataclasses.replace(lines[k], tau=lines[k].tau + delta)
+    return dataclasses.replace(
+        report, spectrum=dataclasses.replace(report.spectrum, lines=tuple(lines)))
 
 
 def test_shared_analysis_is_still_cross_checked(paley7, deleted7, block6):
@@ -235,33 +271,27 @@ def test_shared_analysis_is_still_cross_checked(paley7, deleted7, block6):
     bent = dataclasses.replace(analyze(paley7),
                                spectrum=analyze(parse_line("7:" + "1" * 21)).spectrum)
     with pytest.raises(InternalConsistencyError, match="tight odd dimension"):
-        classify_code(paley7, report=bent)
+        classify_code(bent)
     report = analyze(deleted7)
     bent = dataclasses.replace(
         report, type_class=dataclasses.replace(report.type_class, variant=TypeVariant.TYPE4))
     with pytest.raises(InternalConsistencyError, match="disagree"):
-        drt_minus_vertex_check(deleted7, report=bent)
-    with pytest.raises(InternalConsistencyError):
-        classify_code(deleted7, report=bent)
-    report = analyze(block6)
-    bent = dataclasses.replace(report, spectrum=analyze(deleted7).spectrum)
+        classify_code(bent)
+    # The spectral signature must hold exactly when the forced extension is
+    # doubly regular.  theta^2 = n + 1 and the eigenvalue 1 are held to
+    # about 1e-6: a move far inside that keeps the certificate, and one past
+    # it takes the signature from a deleted DRT.
+    for k in (2, 3):
+        assert classify_code(_moved(report, k, 1e-8)).certificate_kind == "DrtMinusVertex"
+        with pytest.raises(InternalConsistencyError, match="disagree"):
+            classify_code(_moved(report, k, 1e-5))
+    signed = dataclasses.replace(analyze(block6), spectrum=report.spectrum,
+                                 type_class=report.type_class)
+    with pytest.raises(InternalConsistencyError, match="disagree"):
+        classify_code(signed)
+    bent = dataclasses.replace(analyze(block6), spectrum=report.spectrum)
     with pytest.raises(InternalConsistencyError, match="block-form certificate"):
-        classify_code(block6, report=bent)
-
-
-def test_shared_analysis_must_belong_to_the_tournament(cycle3, paley7, block6, deleted7):
-    with pytest.raises(InputError, match="different tournament"):
-        classify_code(paley7, report=analyze(cycle3))
-    # Same order, different tournaments: the order alone must not pass.
-    other7 = parse_line("7:" + "1" * 21)
-    with pytest.raises(InputError, match="different tournament"):
-        classify_code(paley7, report=analyze(other7))
-    for T, other in ((block6, deleted7), (deleted7, block6)):
-        assert T.n == other.n == 6
-        with pytest.raises(InputError, match="different tournament"):
-            classify_code(T, report=analyze(other))
-        with pytest.raises(InputError, match="different tournament"):
-            drt_minus_vertex_check(T, report=analyze(other))
+        classify_code(bent)
 
 
 def _components_by_search(mask):
@@ -335,7 +365,7 @@ def test_certificate_census_small_orders(classes_by_order):
     kinds = collections.Counter()
     for n in range(3, 7):
         for T in classes_by_order[n]:
-            kinds[classify_code(T).certificate_kind] += 1
+            kinds[classify_code(analyze(T)).certificate_kind] += 1
     assert kinds == {"DRT": 1, "SkewHadamard": 2, "DrtMinusVertex": 1,
                      "BlockForm": 1, "None": 69}
 
@@ -344,7 +374,7 @@ def test_six_vertex_dichotomy(classes_by_order):
     # at n = 2d with d = 3 exactly one of the two certificates applies,
     # and every such class carries one
     for T in classes_by_order[6]:
-        rep = classify_code(T)
+        rep = classify_code(analyze(T))
         if rep.rep_dim == 3:
             assert rep.certificate_kind in ("DrtMinusVertex", "BlockForm")
             assert drt_minus_vertex_check(T) != (block_form_check(T) is not None)
@@ -357,10 +387,10 @@ def test_skew_equivalence_random_eight():
     seen_skew = 0
     for _ in range(200):
         T = random_tournament(8, rng)
-        rep = classify_code(T)
+        rep = classify_code(analyze(T))
         skew = skew_hadamard_check(T)
         assert rep.is_tight == skew
-        assert skew == (rep_dimension(T) == 4)
+        assert skew == (analyze(T).rep_dim == 4)
         seen_skew += skew
     assert seen_skew > 0
 

@@ -10,11 +10,10 @@ import pytest
 
 from tourney_codes import codes, representation, spectral, tournament
 from tourney_codes import (Embedding, InputError, InternalConsistencyError,
-                           TypeVariant, analyze, classify_type, d_optimal_block,
-                           embed, gram_matrix, multiplicity_profile,
-                           optimal_alpha, paley_tournament, parse_line,
-                           random_tournament, relabel, rep_dimension,
-                           spectrum_of, switch, verify_embedding, witness_shift)
+                           TypeVariant, analyze, d_optimal_block, embed, gram_matrix,
+                           multiplicity_profile, paley_tournament, parse_line,
+                           random_tournament, relabel, spectrum_of, switch,
+                           verify_embedding, witness_shift)
 
 SQRT3 = math.sqrt(3.0)
 SQRT7 = math.sqrt(7.0)
@@ -83,12 +82,6 @@ def test_single_vertex_rejected():
         analyze(parse_line("1:"))
 
 
-def test_helper_accessors_match_analyze(paley7):
-    r = analyze(paley7)
-    assert rep_dimension(paley7) == r.rep_dim
-    assert optimal_alpha(paley7) == r.alpha
-
-
 def test_report_json_fields(cycle3, block6):
     d = analyze(cycle3).to_json_dict()
     assert d["n"] == 3 and d["type"] == 1 and d["rep_dim"] == 1
@@ -130,7 +123,7 @@ def test_alpha_always_upper_half_plane(classes_by_order):
 def test_absolute_bound_all_small_orders(classes_by_order):
     for n in range(2, 7):
         for T in classes_by_order[n]:
-            d = rep_dimension(T)
+            d = analyze(T).rep_dim
             assert n <= (2 * d + 1 if d % 2 else 2 * d)
 
 
@@ -138,28 +131,28 @@ def test_absolute_bound_all_small_orders(classes_by_order):
 
 
 def test_gram_eigenvalues_cycle(cycle3):
-    G = gram_matrix(cycle3, optimal_alpha(cycle3))
+    G = gram_matrix(cycle3, analyze(cycle3).alpha)
     assert np.linalg.eigvalsh(G) == pytest.approx([0, 0, 3], abs=1e-9)
 
 
 def test_gram_eigenvalues_skew_class():
     T = parse_line("4:111010")
-    G = gram_matrix(T, optimal_alpha(T))
+    G = gram_matrix(T, analyze(T).alpha)
     assert np.linalg.eigvalsh(G) == pytest.approx([0, 0, 2, 2], abs=1e-9)
 
 
 def test_gram_eigenvalues_paley_seven(paley7):
-    G = gram_matrix(paley7, optimal_alpha(paley7))
+    G = gram_matrix(paley7, analyze(paley7).alpha)
     assert np.linalg.eigvalsh(G) == pytest.approx([0] * 4 + [7 / 3] * 3, abs=1e-9)
 
 
 def test_gram_eigenvalues_block(block6):
-    G = gram_matrix(block6, optimal_alpha(block6))
+    G = gram_matrix(block6, analyze(block6).alpha)
     assert np.linalg.eigvalsh(G) == pytest.approx([0, 0, 0, 1.5, 1.5, 3], abs=1e-9)
 
 
 def test_gram_rank_mismatch_raises(cycle3):
-    G = gram_matrix(cycle3, optimal_alpha(cycle3))
+    G = gram_matrix(cycle3, analyze(cycle3).alpha)
     with pytest.raises(InternalConsistencyError, match="rank"):
         representation._rank_cutoff(np.linalg.eigvalsh(G), 2)
 
@@ -178,7 +171,7 @@ def test_gram_rejects_non_psd_angle(cycle3):
 def test_embed_fixtures(cycle3, transitive3, two_vertex, paley7, block6):
     for T in (cycle3, transitive3, two_vertex, paley7, block6):
         emb = embed(T)
-        assert emb.dimension == rep_dimension(T)
+        assert emb.dimension == analyze(T).rep_dim
         assert emb.vectors.shape == (T.n, emb.dimension)
         norms = np.linalg.norm(emb.vectors, axis=1)
         assert norms == pytest.approx(np.ones(T.n), abs=1e-9)
@@ -190,7 +183,7 @@ def test_embed_all_small_orders(classes_by_order):
     for n in range(2, 6):
         for T in classes_by_order[n]:
             emb = embed(T)
-            assert emb.dimension == rep_dimension(T)
+            assert emb.dimension == analyze(T).rep_dim
 
 
 def test_embedding_carries_its_verification(classes_by_order):
@@ -323,13 +316,6 @@ def test_c2_boundary_classified_type_four(line):
     emb = embed(T)
     assert emb.dimension == 6
     assert verify_embedding(emb, T).passed
-
-
-@pytest.mark.parametrize("line", BOUNDARY_LINES)
-def test_c2_boundary_needs_exact_matrix(line):
-    spec = spectrum_of(parse_line(line))
-    with pytest.raises(InternalConsistencyError, match="floating noise"):
-        classify_type(spec)
 
 
 # ---------------------------------------------------------------- witness
