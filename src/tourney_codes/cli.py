@@ -199,6 +199,8 @@ _MIN_SHARE_LINES = 16
 # Holds the place of the results list's items while the report around
 # them is encoded; no other string of a report contains a NUL.
 _RESULTS_SLOT = "\0"
+# What a forked share writes before its text once the whole share is encoded.
+_SHARE_DONE = "+"
 
 
 def _share_count(work: int) -> int:
@@ -221,9 +223,10 @@ def _split(entries: list, count: int) -> list[list]:
 def _fork_share(worker, encode, entries: list):
     """Run one share in a child process; returns the child's pid and its pipe.
 
-    The child writes one JSON status line, null or [error class name,
-    message], then its text, and ends in os._exit, so it never
-    returns into the caller.
+    The child writes nothing until its whole share is encoded, then
+    _SHARE_DONE and its text; a share that raises exits 1 having written
+    nothing.  The child ends in os._exit, so it never returns into the
+    caller.
     """
     import warnings
 
@@ -245,31 +248,13 @@ def _fork_share(worker, encode, entries: list):
     code = 1
     try:
         os.close(read_fd)
-        text, status = "", None
-        try:
-            text = encode(_map_lines(worker, entries))
-        except (InputError, InternalConsistencyError) as exc:
-            status = [type(exc).__name__, str(exc)]
+        text = encode(_map_lines(worker, entries))
         with open(write_fd, "w", encoding="utf-8") as pipe:
-            pipe.write(json.dumps(status) + "\n")
+            pipe.write(_SHARE_DONE)
             pipe.write(text)
         code = 0
     finally:
         os._exit(code)
-
-
-def _read_status(pipe, entries: list) -> None:
-    """Read the status line of the child that ran entries and raise the
-    error it names, if any."""
-    try:
-        status = json.loads(pipe.readline())
-    except ValueError:
-        raise InternalConsistencyError(
-            f"lines {entries[0][0]}-{entries[-1][0]}: a worker process ended "
-            f"without a report") from None
-    if status is not None:
-        error, detail = status
-        raise (InputError if error == InputError.__name__ else InternalConsistencyError)(detail)
 
 
 def _write_shares(worker, encode, shares: list[list], head: str, sep: str,
@@ -277,9 +262,10 @@ def _write_shares(worker, encode, shares: list[list], head: str, sep: str,
     """Write head, the text of every share joined by sep, then tail.
 
     The first share runs in this process and every other one in a child
-    of its own.  Nothing is written before every share has succeeded; a
-    failure raises the error of the earliest failing share, so of the
-    earliest failing line.
+    of its own.  Nothing is written before every share has succeeded.  A
+    child whose share fails leaves it to this process, which runs it again
+    to raise its error, so a failure raises the error of the earliest
+    failing line, as a run in one process does.
     """
     children = []
     try:
@@ -287,7 +273,13 @@ def _write_shares(worker, encode, shares: list[list], head: str, sep: str,
             children.append(_fork_share(worker, encode, entries))
         text = encode(_map_lines(worker, shares[0]))
         for (_, pipe), entries in zip(children, shares[1:]):
-            _read_status(pipe, entries)
+            if pipe.read(1) != _SHARE_DONE:
+                _map_lines(worker, entries)
+                # The share ran here without error, so the child ended of a
+                # cause of its own, such as a signal.
+                raise InternalConsistencyError(
+                    f"lines {entries[0][0]}-{entries[-1][0]}: a worker process ended "
+                    f"without a report")
         sys.stdout.write(head)
         sys.stdout.write(text)
         del text

@@ -17,10 +17,10 @@ import numpy as np
 import pytest
 
 import tourney_codes
-from tourney_codes import (DEFAULT_TOLERANCES, EmbeddingVerdict, InternalConsistencyError,
-                           TypeVariant, analyze, classify_code, d_optimal_block,
-                           delete_vertex, dominated_extension, embed, paley_tournament,
-                           parse_line, random_tournament, verify_embedding)
+from tourney_codes import (DEFAULT_TOLERANCES, EmbeddingVerdict, InputError,
+                           InternalConsistencyError, TypeVariant, analyze, classify_code,
+                           d_optimal_block, delete_vertex, dominated_extension, embed,
+                           paley_tournament, parse_line, random_tournament, verify_embedding)
 from tourney_codes.spectral import SpectralLine, Spectrum
 from tourney_codes import cli, representation
 from tourney_codes._paper import _check_embed_all
@@ -713,12 +713,38 @@ def test_a_failing_child_share_writes_nothing(capsys, monkeypatch, failure):
         return analyze(T, tol)
 
     monkeypatch.setattr("tourney_codes.cli.analyze", broken)
-    rc, out, err = run_shares(capsys, monkeypatch, 2, text, "analyze")
-    # the 11 lines split 5 + 6, so the child runs lines 6-11
-    assert (rc, out) == (3, "")
-    assert err == "internal consistency error: " + (
-        f"line 11: {last}: RuntimeError: worker bug\n" if failure == "raise" else
-        "lines 6-11: a worker process ended without a report\n")
+    # The 11 lines split 5 + 6, so the child runs lines 6-11.  Its share
+    # succeeds when run again here, so the child's failure is its own.
+    assert run_shares(capsys, monkeypatch, 2, text, "analyze") == (
+        3, "", "internal consistency error: lines 6-11: a worker process ended without a "
+        "report\n")
+    assert no_child_left()
+
+
+@pytest.mark.parametrize("error", ["input", "internal"])
+def test_the_first_process_raises_the_error_of_a_failed_share(capsys, monkeypatch, tmp_path,
+                                                             error):
+    # Calls for the bad line are counted through a shared file, by process.
+    text = share_batch()
+    bad = text.splitlines()[-1]
+    calls = tmp_path / "calls"
+
+    def broken(T, tol):
+        if T.line() == bad:
+            with open(calls, "a", encoding="ascii") as handle:
+                handle.write(f"{os.getpid()}\n")
+            raise (InputError if error == "input" else RuntimeError)("worker bug")
+        return analyze(T, tol)
+
+    monkeypatch.setattr("tourney_codes.cli.analyze", broken)
+    serial = run_shares(capsys, monkeypatch, 1, text, "analyze")
+    assert serial[:2] == ((2 if error == "input" else 3), "")
+    assert serial[2].endswith(f"line 11: {bad}: " + (
+        "worker bug\n" if error == "input" else "RuntimeError: worker bug\n"))
+    calls.write_text("")
+    assert run_shares(capsys, monkeypatch, 2, text, "analyze") == serial
+    pids = calls.read_text().split()
+    assert len(pids) == 2 and str(os.getpid()) in pids
     assert no_child_left()
 
 
