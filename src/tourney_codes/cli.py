@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -85,6 +86,41 @@ def _float_text(x: float) -> str:
     return float.__repr__(x)
 
 
+# Floats per call of the vectors' formatter: a call runs a fixed few dozen
+# numpy operations, and its temporaries take a few hundred bytes a float.
+_REPR_BLOCK = 2048
+
+
+def _is_rows(o) -> bool:
+    """Whether o is written as rows of {"im", "re"} objects: an (n, d) complex128 array."""
+    return isinstance(o, np.ndarray) and o.dtype == np.complex128 and o.ndim == 2
+
+
+def _block_reprs(arrays: list):
+    """For each complex array, the float.__repr__ texts of its floats in the
+    order its rows are written (im, then re, of each entry), as a tuple.
+    The formatter takes _REPR_BLOCK floats a call, across arrays."""
+    from ._floatrepr import float_reprs
+
+    def blocks():
+        parts, size = [], 0
+        for X in arrays:
+            floats = np.stack([X.imag, X.real], -1).ravel()
+            while floats.size:
+                part, floats = floats[:_REPR_BLOCK - size], floats[_REPR_BLOCK - size:]
+                parts.append(part)
+                size += part.size
+                if size == _REPR_BLOCK:
+                    yield np.concatenate(parts)
+                    parts, size = [], 0
+        if parts:
+            yield np.concatenate(parts)
+
+    texts = itertools.chain.from_iterable(map(float_reprs, blocks()))
+    for X in arrays:
+        yield tuple(itertools.islice(texts, 2 * X.size))
+
+
 class _IndentedEncoder(json.JSONEncoder):
     """The text of json.dumps(o, sort_keys=True, indent=2), built with str.join.
 
@@ -95,8 +131,27 @@ class _IndentedEncoder(json.JSONEncoder):
     lists of row objects they stand for, with one %-template while finite.
     """
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # The float texts of the arrays of the item being encoded, by id(array)
+        self._made = {}
+
     def encode(self, o) -> str:
         return self._encode(o, "\n")
+
+    def _encode_items(self, items: list, nl: str) -> list[str]:
+        """[self._encode(o, nl) for o in items].  The floats of the finite
+        complex arrays that are values of the dict items are formatted
+        together, _REPR_BLOCK at a time."""
+        found = [[v for v in o.values() if _is_rows(v) and np.isfinite(v).all()]
+                 if isinstance(o, dict) else [] for o in items]
+        made = _block_reprs([X for arrays in found for X in arrays])
+        texts = []
+        for o, arrays in zip(items, found):
+            self._made = {id(X): next(made) for X in arrays}
+            texts.append(self._encode(o, nl))
+        self._made = {}
+        return texts
 
     def _encode(self, o, nl: str) -> str:
         # nl: the newline and indentation that go before o's closing bracket
@@ -124,22 +179,25 @@ class _IndentedEncoder(json.JSONEncoder):
             items = [encode_basestring_ascii(k) + ": " + self._encode(v, inner)
                      for k, v in sorted(o.items())]
             return "{" + inner + ("," + inner).join(items) + nl + "}"
-        if isinstance(o, np.ndarray) and o.dtype == np.complex128 and o.ndim == 2:
+        if _is_rows(o):
             return self._complex_rows(o, nl)
         if isinstance(o, Spectrum):
             return self._spectrum_rows(o, nl)
         return self._encode(self.default(o), nl)
 
     def _complex_rows(self, X: np.ndarray, nl: str) -> str:
-        if not np.isfinite(X).all():
-            return self._encode([[{"im": z.imag, "re": z.real} for z in row]
-                                 for row in X.tolist()], nl)
+        texts = self._made.pop(id(X), None)
+        if texts is None:
+            if not np.isfinite(X).all():
+                return self._encode([[{"im": z.imag, "re": z.real} for z in row]
+                                     for row in X.tolist()], nl)
+            texts = next(_block_reprs([X]))
         n, d = X.shape
         row_nl, entry_nl, key_nl = nl + "  ", nl + "    ", nl + "      "
-        entry = "{" + key_nl + '"im": %r,' + key_nl + '"re": %r' + entry_nl + "}"
+        entry = "{" + key_nl + '"im": %s,' + key_nl + '"re": %s' + entry_nl + "}"
         row = "[" + entry_nl + ("," + entry_nl).join([entry] * d) + row_nl + "]" if d else "[]"
         table = "[" + row_nl + ("," + row_nl).join([row] * n) + nl + "]" if n else "[]"
-        return table % tuple(np.stack([X.imag, X.real], -1).ravel().tolist())
+        return table % texts
 
     def _spectrum_rows(self, spec: Spectrum, nl: str) -> str:
         # %r writes float.__repr__ for the Python floats group_spectrum makes
@@ -220,13 +278,22 @@ def _split(entries: list, count: int) -> list[list]:
     return [entries[k * n // count:(k + 1) * n // count] for k in range(count)]
 
 
-def _fork_share(worker, encode, entries: list):
+def _write_joined(stream, texts: list[str], sep: str) -> None:
+    """Write texts joined by sep, one text at a time, so that the whole is
+    never held as one string."""
+    for k, text in enumerate(texts):
+        if k:
+            stream.write(sep)
+        stream.write(text)
+
+
+def _fork_share(worker, encode, sep: str, entries: list):
     """Run one share in a child process; returns the child's pid and its pipe.
 
     The child writes nothing until its whole share is encoded, then
-    _SHARE_DONE and its text; a share that raises exits 1 having written
-    nothing.  The child ends in os._exit, so it never returns into the
-    caller.
+    _SHARE_DONE and its texts joined by sep; a share that raises exits 1
+    having written nothing.  The child ends in os._exit, so it never
+    returns into the caller.
     """
     import warnings
 
@@ -248,10 +315,10 @@ def _fork_share(worker, encode, entries: list):
     code = 1
     try:
         os.close(read_fd)
-        text = encode(_map_lines(worker, entries))
+        texts = encode(_map_lines(worker, entries))
         with open(write_fd, "w", encoding="utf-8") as pipe:
             pipe.write(_SHARE_DONE)
-            pipe.write(text)
+            _write_joined(pipe, texts, sep)
         code = 0
     finally:
         os._exit(code)
@@ -259,7 +326,7 @@ def _fork_share(worker, encode, entries: list):
 
 def _write_shares(worker, encode, shares: list[list], head: str, sep: str,
                   tail: str) -> None:
-    """Write head, the text of every share joined by sep, then tail.
+    """Write head, the texts of every share joined by sep, then tail.
 
     The first share runs in this process and every other one in a child
     of its own.  Nothing is written before every share has succeeded.  A
@@ -270,8 +337,8 @@ def _write_shares(worker, encode, shares: list[list], head: str, sep: str,
     children = []
     try:
         for entries in shares[1:]:
-            children.append(_fork_share(worker, encode, entries))
-        text = encode(_map_lines(worker, shares[0]))
+            children.append(_fork_share(worker, encode, sep, entries))
+        texts = encode(_map_lines(worker, shares[0]))
         for (_, pipe), entries in zip(children, shares[1:]):
             if pipe.read(1) != _SHARE_DONE:
                 _map_lines(worker, entries)
@@ -281,8 +348,8 @@ def _write_shares(worker, encode, shares: list[list], head: str, sep: str,
                     f"lines {entries[0][0]}-{entries[-1][0]}: a worker process ended "
                     f"without a report")
         sys.stdout.write(head)
-        sys.stdout.write(text)
-        del text
+        _write_joined(sys.stdout, texts, sep)
+        del texts
         while children:
             pid, pipe = children[0]
             sys.stdout.write(sep)
@@ -304,14 +371,14 @@ def _write_shares(worker, encode, shares: list[list], head: str, sep: str,
 
 def _frame(args: argparse.Namespace, tol: Tolerances, command: str, digest: str, tsv_row,
            empty: bool, **fields):
-    """How a report is written: head, sep, tail and encode(results).  The
-    report is head, then encode's texts of consecutive runs of its results
-    joined by sep, then tail.  A JSON report carries fields beside the
-    envelope's keys; a TSV report is one tsv_row(result) per line."""
+    """How a report is written: head, sep, tail and encode(results), the
+    list of the texts of results.  The report is head, then the texts of
+    all its results joined by sep, then tail.  A JSON report carries fields
+    beside the envelope's keys; a TSV report is one tsv_row(result) per
+    line."""
     if args.format == "tsv":
-        def encode(results: list) -> str:
-            return "".join(["\t".join([str(cell) for cell in tsv_row(r)]) + "\n"
-                            for r in results])
+        def encode(results: list) -> list[str]:
+            return ["\t".join([str(cell) for cell in tsv_row(r)]) + "\n" for r in results]
 
         return "", "", "", encode
     report = {"command": command, "version": __version__, "inputs_digest": digest,
@@ -325,8 +392,8 @@ def _frame(args: argparse.Namespace, tol: Tolerances, command: str, digest: str,
     sep = "," + nl
     encoder = _IndentedEncoder()
 
-    def encode(results: list) -> str:
-        return sep.join([encoder._encode(r, nl) for r in results])
+    def encode(results: list) -> list[str]:
+        return encoder._encode_items(results, nl)
 
     return head, sep, tail, encode
 
@@ -334,8 +401,11 @@ def _frame(args: argparse.Namespace, tol: Tolerances, command: str, digest: str,
 def _emit(args: argparse.Namespace, tol: Tolerances, command: str, digest: str, tsv_row,
           results: list, **fields) -> None:
     """Write the report of results computed in this process."""
-    head, _, tail, encode = _frame(args, tol, command, digest, tsv_row, not results, **fields)
-    sys.stdout.write(head + encode(results) + tail)
+    head, sep, tail, encode = _frame(args, tol, command, digest, tsv_row, not results,
+                                     **fields)
+    sys.stdout.write(head)
+    _write_joined(sys.stdout, encode(results), sep)
+    sys.stdout.write(tail)
 
 
 def _run_batch(args: argparse.Namespace, tol: Tolerances, command: str, worker,
@@ -360,6 +430,9 @@ def cmd_analyze(args: argparse.Namespace, tol: Tolerances) -> int:
 
 
 def cmd_embed(args: argparse.Namespace, tol: Tolerances) -> int:
+    if args.format == "json":
+        # Loaded here, before any share forks, so no child imports it again.
+        from . import _floatrepr  # noqa: F401
     _run_batch(args, tol, "embed", lambda T: _embed_worker(T, tol), lambda r: [
         r["line"], r["dimension"], f"{r['max_deviation']:.3e}", r["check_passed"]])
     return EXIT_OK

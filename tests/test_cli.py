@@ -22,7 +22,7 @@ from tourney_codes import (DEFAULT_TOLERANCES, EmbeddingVerdict, InputError,
                            d_optimal_block, delete_vertex, dominated_extension, embed,
                            paley_tournament, parse_line, random_tournament, verify_embedding)
 from tourney_codes.spectral import SpectralLine, Spectrum
-from tourney_codes import cli, representation
+from tourney_codes import _floatrepr, cli, representation
 from tourney_codes._paper import _check_embed_all
 from tourney_codes.cli import _IndentedEncoder, main
 from conftest import ORDER4_LINES
@@ -379,11 +379,25 @@ def test_import_leaves_the_process_pool_unloaded():
     code = ("import sys, tourney_codes.cli; "
             "print([m for m in ('concurrent.futures.process', 'multiprocessing', "
             "'logging', 'fractions', 'decimal', 'tourney_codes._constructions', "
-            "'tourney_codes._catalog', 'tourney_codes._shifts', 'tourney_codes._paper') "
+            "'tourney_codes._catalog', 'tourney_codes._shifts', 'tourney_codes._paper', "
+            "'tourney_codes._floatrepr') "
             "if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out == "[]\n"
+
+
+def test_only_embed_json_loads_the_float_formatter():
+    src = str(Path(tourney_codes.__file__).resolve().parents[1])
+    code = ("import sys; from tourney_codes import cli; rc = cli.main(sys.argv[1:]); "
+            "sys.stderr.write(str('tourney_codes._floatrepr' in sys.modules))")
+    for argv, loaded in ((["analyze", "4:111010"], "False"),
+                         (["embed", "4:111010", "--format", "tsv"], "False"),
+                         (["embed", "4:111010"], "True")):
+        proc = subprocess.run([sys.executable, "-c", code, *argv],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, loaded)
 
 
 # Every name the package bound when all of its modules loaded with it.
@@ -527,11 +541,24 @@ def old_vectors(X):
     return [[{"re": float(z.real), "im": float(z.imag)} for z in row] for row in X]
 
 
+def items_report(items, nl="\n    "):
+    """The report {"results": items} as _encode_items writes its items."""
+    texts = _IndentedEncoder()._encode_items(items, nl)
+    return '{\n  "results": [' + nl + ("," + nl).join(texts) + "\n  ]\n}"
+
+
+# Zeros, powers of two and decade bounds, which take the formatter's fast
+# path, beside values below 1e-3 or from 1 up, which it leaves to repr.
+SPECIAL_FLOATS = (0.0, -0.0, -1.0, 0.5, -0.125, 1e-3, 0.1, 0.01, 5.551115123125783e-17,
+                  -2.5e-4, 1.0000000000000002, 7.0, 0.7071067811865476, -0.3333333333333333)
+
+
 @pytest.mark.parametrize("shape", [(0, 0), (3, 0), (1, 1), (4, 1), (5, 3)])
-def test_complex_rows_match_the_list_of_dicts_form(shape):
+def test_complex_rows_match_the_list_of_dicts_form(shape, monkeypatch):
     rng = np.random.default_rng(sum(shape))
     X = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    arrays = [X, -np.zeros(shape, dtype=np.complex128)]
+    mixed = rng.choice(SPECIAL_FLOATS, size=shape) + 1j * rng.choice(SPECIAL_FLOATS, size=shape)
+    arrays = [X, -np.zeros(shape, dtype=np.complex128), mixed]
     if X.size:
         bad = X.copy()
         bad.flat[-1] = complex(math.nan, -math.inf)
@@ -540,6 +567,26 @@ def test_complex_rows_match_the_list_of_dicts_form(shape):
         got = indented({"results": [{"line": "x", "vectors": A}]})
         assert got == json.dumps({"results": [{"line": "x", "vectors": old_vectors(A)}]},
                                  sort_keys=True, indent=2)
+    # Every array's floats formatted in blocks: with 2 * X.size floats a
+    # block, blocks end between lines; with 7, inside them as well.
+    items = [{"line": str(k), "vectors": A} for k, A in enumerate(arrays)] + [{}, []]
+    want = json.dumps({"results": [{"line": str(k), "vectors": old_vectors(A)}
+                                   for k, A in enumerate(arrays)] + [{}, []]},
+                      sort_keys=True, indent=2)
+    real, sizes = _floatrepr.float_reprs, []
+
+    def recorded(x):
+        sizes.append(x.size)
+        return real(x)
+
+    monkeypatch.setattr(_floatrepr, "float_reprs", recorded)
+    floats = 2 * sum(A.size for A in arrays if np.isfinite(A).all())
+    for block in {7, max(1, 2 * X.size), cli._REPR_BLOCK}:
+        monkeypatch.setattr(cli, "_REPR_BLOCK", block)
+        sizes.clear()
+        assert items_report(items) == want
+        # one call per full block, and one for the rest
+        assert sizes == [block] * (floats // block) + [floats % block] * (floats % block > 0)
 
 
 def test_embed_output_matches_the_dict_form(capsys, monkeypatch):
@@ -547,6 +594,10 @@ def test_embed_output_matches_the_dict_form(capsys, monkeypatch):
     tournaments = [parse_line(line) for line in ORDER4_LINES]
     tournaments += [P11, dominated_extension(P7), delete_vertex(P11, 4),
                     d_optimal_block(P7, P7)]
+    # certified-large orders, up to n = 94
+    P47 = paley_tournament(47)
+    tournaments += [dominated_extension(paley_tournament(43)), delete_vertex(P47, 0),
+                    d_optimal_block(P47, P47)]
     text = "".join(T.line() + "\n" for T in tournaments)
     results = []
     for T in tournaments:
@@ -556,11 +607,15 @@ def test_embed_output_matches_the_dict_form(capsys, monkeypatch):
                         "dimension": emb.dimension, "vectors": old_vectors(emb.vectors),
                         "max_deviation": verdict.max_deviation,
                         "check_passed": verdict.passed})
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
-    rc, out, _ = run_cli(capsys, "embed", "-")
-    assert rc == 0
-    assert out == json.dumps(envelope("embed", text, results),
-                             sort_keys=True, indent=2) + "\n"
+    want = json.dumps(envelope("embed", text, results), sort_keys=True, indent=2) + "\n"
+    # The first line has 24 floats: blocks of 24 end between lines and
+    # inside them; blocks of the default size end inside the n = 94 line.
+    assert 2 * embed(tournaments[0]).vectors.size == 24
+    for block in (24, cli._REPR_BLOCK):
+        monkeypatch.setattr(cli, "_REPR_BLOCK", block)
+        for shares in (1, 3):
+            assert run_shares(capsys, monkeypatch, shares, text, "embed") == (0, want, "")
+    assert no_child_left()
 
 
 def test_analyze_output_matches_the_dict_form(capsys, monkeypatch):
