@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -33,21 +32,8 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 
-def _env_float(name: str, fallback: float) -> float:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return float(raw)
-    except ValueError:
-        raise InputError(f"environment variable {name} must be a number, got {raw!r}")
-
-
 def _tolerances(args: argparse.Namespace) -> Tolerances:
-    eig = args.eig_tol if args.eig_tol is not None else _env_float(
-        "TOURNEY_CODES_EIG_TOL", CLUSTER_GAP_FACTOR)
-    beta = args.beta_tol if args.beta_tol is not None else _env_float(
-        "TOURNEY_CODES_BETA_TOL", BETA_ZERO_TOL)
+    eig, beta = args.eig_tol, args.beta_tol
     # NaN fails both comparisons, so it is refused with infinity.
     if not (0 < eig < math.inf and 0 < beta < math.inf):
         raise InputError("tolerances must be positive and finite")
@@ -78,22 +64,20 @@ def _digest(*chunks: str) -> str:
     return h.hexdigest()
 
 
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if abs(x) == float("inf"):
-        return "Infinity" if x > 0 else "-Infinity"
-    return float.__repr__(x)
-
-
 # Floats per call of the vectors' formatter: a call runs a fixed few dozen
 # numpy operations, and its temporaries take a few hundred bytes a float.
 _REPR_BLOCK = 2048
+# Holds the place of a value while json writes the text around it: of the
+# results list in a report, and of each table in a result.  No other
+# string of a report contains a NUL.
+_SLOT = "\0"
+_SLOT_TEXT = json.dumps(_SLOT)
 
 
-def _is_rows(o) -> bool:
-    """Whether o is written as rows of {"im", "re"} objects: an (n, d) complex128 array."""
-    return isinstance(o, np.ndarray) and o.dtype == np.complex128 and o.ndim == 2
+def _is_table(o) -> bool:
+    """Whether o is written by template: embed's (n, d) complex128 vectors or a Spectrum."""
+    return isinstance(o, Spectrum) or (
+        isinstance(o, np.ndarray) and o.dtype == np.complex128 and o.ndim == 2)
 
 
 def _block_reprs(arrays: list):
@@ -121,94 +105,47 @@ def _block_reprs(arrays: list):
         yield tuple(itertools.islice(texts, 2 * X.size))
 
 
-class _IndentedEncoder(json.JSONEncoder):
-    """The text of json.dumps(o, sort_keys=True, indent=2), built with str.join.
+def _complex_rows(X: np.ndarray, texts: tuple, nl: str) -> str:
+    """X as rows of {"im", "re"} objects, its floats written as texts; nl
+    is the newline and indentation that go before the closing bracket."""
+    n, d = X.shape
+    row_nl, entry_nl, key_nl = nl + "  ", nl + "    ", nl + "      "
+    entry = "{" + key_nl + '"im": %s,' + key_nl + '"re": %s' + entry_nl + "}"
+    row = "[" + entry_nl + ("," + entry_nl).join([entry] * d) + row_nl + "]" if d else "[]"
+    table = "[" + row_nl + ("," + row_nl).join([row] * n) + nl + "]" if n else "[]"
+    return table % texts
 
-    With an indent, json falls back from its C encoder to a slower
-    pure-Python one; this writes the same bytes faster.  Dict keys must
-    be strings, and circular references are not detected.  An (n, d)
-    complex128 array (embed's vectors) and a Spectrum are written as the
-    lists of row objects they stand for, with one %-template while finite.
-    """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # The float texts of the arrays of the item being encoded, by id(array)
-        self._made = {}
+def _spectrum_rows(spec: Spectrum, nl: str) -> str:
+    """spec's lines as rows of {"beta", "mult", "tau"} objects, as _complex_rows."""
+    row_nl, key_nl = nl + "  ", nl + "    "
+    row = ("{" + key_nl + '"beta": %r,' + key_nl + '"mult": %d,' + key_nl
+           + '"tau": %r' + row_nl + "}")
+    table = "[" + row_nl + ("," + row_nl).join([row] * len(spec.lines)) + nl + "]"
+    # %r writes float.__repr__ for the Python floats group_spectrum makes
+    return table % tuple([x for l in spec.lines for x in (l.beta, l.mult, l.tau)])
 
-    def encode(self, o) -> str:
-        return self._encode(o, "\n")
 
-    def _encode_items(self, items: list, nl: str) -> list[str]:
-        """[self._encode(o, nl) for o in items].  The floats of the finite
-        complex arrays that are values of the dict items are formatted
-        together, _REPR_BLOCK at a time."""
-        found = [[v for v in o.values() if _is_rows(v) and np.isfinite(v).all()]
-                 if isinstance(o, dict) else [] for o in items]
-        made = _block_reprs([X for arrays in found for X in arrays])
-        texts = []
-        for o, arrays in zip(items, found):
-            self._made = {id(X): next(made) for X in arrays}
-            texts.append(self._encode(o, nl))
-        self._made = {}
-        return texts
-
-    def _encode(self, o, nl: str) -> str:
-        # nl: the newline and indentation that go before o's closing bracket
-        if isinstance(o, str):
-            return encode_basestring_ascii(o)
-        if o is None:
-            return "null"
-        if o is True:
-            return "true"
-        if o is False:
-            return "false"
-        if isinstance(o, int):
-            return int.__repr__(o)
-        if isinstance(o, float):
-            return _float_text(o)
-        inner = nl + "  "
-        if isinstance(o, (list, tuple)):
-            if not o:
-                return "[]"
-            items = [self._encode(v, inner) for v in o]
-            return "[" + inner + ("," + inner).join(items) + nl + "]"
-        if isinstance(o, dict):
-            if not o:
-                return "{}"
-            items = [encode_basestring_ascii(k) + ": " + self._encode(v, inner)
-                     for k, v in sorted(o.items())]
-            return "{" + inner + ("," + inner).join(items) + nl + "}"
-        if _is_rows(o):
-            return self._complex_rows(o, nl)
-        if isinstance(o, Spectrum):
-            return self._spectrum_rows(o, nl)
-        return self._encode(self.default(o), nl)
-
-    def _complex_rows(self, X: np.ndarray, nl: str) -> str:
-        texts = self._made.pop(id(X), None)
-        if texts is None:
-            if not np.isfinite(X).all():
-                return self._encode([[{"im": z.imag, "re": z.real} for z in row]
-                                     for row in X.tolist()], nl)
-            texts = next(_block_reprs([X]))
-        n, d = X.shape
-        row_nl, entry_nl, key_nl = nl + "  ", nl + "    ", nl + "      "
-        entry = "{" + key_nl + '"im": %s,' + key_nl + '"re": %s' + entry_nl + "}"
-        row = "[" + entry_nl + ("," + entry_nl).join([entry] * d) + row_nl + "]" if d else "[]"
-        table = "[" + row_nl + ("," + row_nl).join([row] * n) + nl + "]" if n else "[]"
-        return table % texts
-
-    def _spectrum_rows(self, spec: Spectrum, nl: str) -> str:
-        # %r writes float.__repr__ for the Python floats group_spectrum makes
-        values = [x for l in spec.lines for x in (l.beta, l.mult, l.tau)]
-        if not values or not np.isfinite(values).all():
-            return self._encode(spec.to_json_dict()["eigenvalues"], nl)
-        row_nl, key_nl = nl + "  ", nl + "    "
-        row = ("{" + key_nl + '"beta": %r,' + key_nl + '"mult": %d,' + key_nl
-               + '"tau": %r' + row_nl + "}")
-        table = "[" + row_nl + ("," + row_nl).join([row] * len(spec.lines)) + nl + "]"
-        return table % tuple(values)
+def _encode_items(results: list, nl: str) -> list[str]:
+    """The text of json.dumps(r, sort_keys=True, indent=2) for each result
+    r, with nl for each newline.  The tables among a result dict's values
+    are written by template into the slots json writes in their place;
+    they are always finite, as embed() and group_spectrum make them.  The
+    floats of all the vectors are formatted together, _REPR_BLOCK at a time."""
+    found = [[(k, r[k]) for k in sorted(r) if _is_table(r[k])] if isinstance(r, dict) else []
+             for r in results]
+    made = _block_reprs([v for tables in found for _, v in tables if isinstance(v, np.ndarray)])
+    inner = nl + "  "
+    texts = []
+    for r, tables in zip(results, found):
+        if tables:
+            r = {**r, **{k: _SLOT for k, _ in tables}}
+        rows = [_spectrum_rows(v, inner) if isinstance(v, Spectrum)
+                else _complex_rows(v, next(made), inner) for _, v in tables]
+        # JSON text holds no raw newline, so every newline is json's indent.
+        parts = json.dumps(r, sort_keys=True, indent=2).replace("\n", nl).split(_SLOT_TEXT)
+        texts.append("".join([p + t for p, t in zip(parts, rows + [""], strict=True)]))
+    return texts
 
 
 def _map_lines(worker, entries: list[tuple[int, Tournament]]) -> list:
@@ -254,9 +191,6 @@ def _embed_worker(T: Tournament, tol: Tolerances) -> dict:
 # first-call setup run again in the child), which a smaller share does
 # not win back.
 _MIN_SHARE_LINES = 16
-# Holds the place of the results list's items while the report around
-# them is encoded; no other string of a report contains a NUL.
-_RESULTS_SLOT = "\0"
 # What a forked share writes before its text once the whole share is encoded.
 _SHARE_DONE = "+"
 
@@ -383,17 +317,16 @@ def _frame(args: argparse.Namespace, tol: Tolerances, command: str, digest: str,
         return "", "", "", encode
     report = {"command": command, "version": __version__, "inputs_digest": digest,
               "tolerances": {"eig_tol": tol.cluster_gap_factor, "beta_tol": tol.beta_zero},
-              "results": [] if empty else [_RESULTS_SLOT], **fields}
-    doc = json.dumps(report, sort_keys=True, indent=2, cls=_IndentedEncoder) + "\n"
-    head, _, tail = doc.partition(encode_basestring_ascii(_RESULTS_SLOT))
+              "results": [] if empty else [_SLOT], **fields}
+    doc = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    head, _, tail = doc.partition(_SLOT_TEXT)
     # The results list is a value of the top-level object, so its items
     # sit at an indent of four spaces.
     nl = "\n    "
     sep = "," + nl
-    encoder = _IndentedEncoder()
 
     def encode(results: list) -> list[str]:
-        return encoder._encode_items(results, nl)
+        return _encode_items(results, nl)
 
     return head, sep, tail, encode
 
@@ -492,9 +425,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("json", "tsv"), default="json",
                        help="output format (default json)")
-        p.add_argument("--eig-tol", type=float, default=None,
+        p.add_argument("--eig-tol", type=float, default=CLUSTER_GAP_FACTOR,
                        help="eigenvalue clustering tolerance factor")
-        p.add_argument("--beta-tol", type=float, default=None,
+        p.add_argument("--beta-tol", type=float, default=BETA_ZERO_TOL,
                        help="main angle zero threshold")
 
     p = sub.add_parser("analyze", help="type, dimension, and angle per tournament")

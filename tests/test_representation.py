@@ -205,11 +205,24 @@ def test_verify_embedding_flags_perturbation(paley7):
     assert 1e-4 < verdict.max_deviation < 1e-2
 
 
-@pytest.mark.parametrize("alpha", [complex(math.nan, 0.5), complex(0.5, math.nan)])
-def test_verify_embedding_fails_a_nan_angle(paley7, alpha):
+# A NaN or infinite coordinate fails too: the CLI writes embed's vectors
+# with a template for finite floats only.
+@pytest.mark.parametrize("alpha, entry", [
+    (complex(math.nan, 0.5), None), (complex(0.5, math.nan), None),
+    (None, math.nan), (None, math.inf), (None, -math.inf),
+], ids=["(nan+0.5j)", "(0.5+nanj)", "vector-nan", "vector-inf", "vector-minus-inf"])
+def test_verify_embedding_fails_a_nan_angle(paley7, alpha, entry):
     emb = embed(paley7)
-    verdict = verify_embedding(Embedding(emb.dimension, emb.vectors, alpha), paley7)
-    assert not verdict.passed and math.isnan(verdict.max_deviation)
+    vectors = emb.vectors.copy()
+    if entry is not None:
+        vectors[3, 1] = entry
+    # numpy warns of inf - inf inside the products; the verdict is what counts
+    with np.errstate(invalid="ignore"):
+        verdict = verify_embedding(Embedding(emb.dimension, vectors, alpha or emb.alpha),
+                                   paley7)
+    assert not verdict.passed and not math.isfinite(verdict.max_deviation)
+    if entry is None:
+        assert math.isnan(verdict.max_deviation)
 
 
 def _max_deviation_by_pairs(emb, T):
