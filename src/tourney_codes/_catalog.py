@@ -111,9 +111,6 @@ class TightCodeCount:
     count: int
     catalog_trusted: bool
 
-    def to_json_dict(self) -> dict:
-        return {"d": self.d, "count": self.count, "catalog_trusted": self.catalog_trusted}
-
 
 def count_tight_codes(d: int, catalog_path: str | None = None) -> TightCodeCount:
     """Number of tight angle-set configurations in dimension d, up to

@@ -4,7 +4,8 @@ Streaming text commands over the library: analyze, embed and
 switching-class read one tournament per line, enumerate and count-tight
 generate, verify-paper runs the built-in cross-validation suite.
 Reports are emitted as deterministic JSON (sorted keys) or as
-tab-separated rows.
+tab-separated rows.  This module alone knows the report's schema: the
+library's records carry no JSON form.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .codes import classify_code
+from .codes import TightnessReport, classify_code
 from .errors import InputError, InternalConsistencyError
-from .representation import analyze, embed
+from .representation import RepReport, analyze, embed
 from .spectral import BETA_ZERO_TOL, CLUSTER_GAP_FACTOR, Tolerances, Spectrum
 from .tournament import Tournament, _read_ascii, parse_catalog
 
@@ -164,20 +165,44 @@ def _map_lines(worker, entries: list[tuple[int, Tournament]]) -> list:
     return results
 
 
+def _analysis(T: Tournament, report: RepReport) -> dict:
+    """The result of T's analysis report.  Its "spectrum" is the Spectrum
+    itself, whose rows _encode_items writes by template."""
+    tc = report.type_class
+    out = {"line": T.line(), "n": report.n, "type": int(tc.variant),
+           "rep_dim": report.rep_dim,
+           "alpha": {"re": float(report.alpha.real), "im": float(report.alpha.imag)},
+           "spectrum": report.spectrum}
+    if tc.c1 is not None:
+        out["c1"] = float(tc.c1)
+    if tc.c2 is not None:
+        out["c2"] = float(tc.c2)
+    return out
+
+
+def _tightness(t: TightnessReport) -> dict:
+    cert: dict = {"kind": t.certificate_kind}
+    if t.drt_params is not None:
+        p = t.drt_params
+        cert["params"] = [p.n, p.out_degree, p.common_out_neighbors]
+    if t.block_form is not None:
+        b = t.block_form
+        cert.update(k=b.k, l=b.l, partition=[list(part) for part in b.partition])
+    return {"n": t.n, "rep_dim": t.rep_dim, "bound": t.bound, "is_tight": t.is_tight,
+            "certificate": cert}
+
+
 def _analyze_worker(T: Tournament, tol: Tolerances) -> dict:
     report = analyze(T, tol)
-    out = {"line": T.line()}
-    out.update(report.to_json_dict(spectrum=report.spectrum))
+    out = _analysis(T, report)
     if T.n >= 3:
-        out["tightness"] = classify_code(report).to_json_dict()
+        out["tightness"] = _tightness(classify_code(report))
     return out
 
 
 def _embed_worker(T: Tournament, tol: Tolerances) -> dict:
     emb = embed(T, tol)
-    report = emb.report
-    out = {"line": T.line()}
-    out.update(report.to_json_dict(spectrum=report.spectrum))
+    out = _analysis(T, emb.report)
     out["dimension"] = emb.dimension
     out["vectors"] = emb.vectors
     out["max_deviation"] = emb.max_deviation
@@ -400,8 +425,9 @@ def cmd_count_tight(args: argparse.Namespace, tol: Tolerances) -> int:
 
     text = _read_catalog(args.catalog) if args.d >= 1 else None
     count = _count_tight(args.d, text)
+    result = {"d": count.d, "count": count.count, "catalog_trusted": count.catalog_trusted}
     _emit(args, tol, "count-tight", _digest(f"d={args.d}", text or ""), lambda r: [
-        r["d"], r["count"], r["catalog_trusted"]], [count.to_json_dict()])
+        r["d"], r["count"], r["catalog_trusted"]], [result])
     return EXIT_OK
 
 

@@ -60,23 +60,6 @@ class TightnessReport:
     drt_params: DrtParams | None = None
     block_form: BlockFormCert | None = None
 
-    def to_json_dict(self) -> dict:
-        cert: dict = {"kind": self.certificate_kind}
-        if self.drt_params is not None:
-            cert["params"] = [self.drt_params.n, self.drt_params.out_degree,
-                              self.drt_params.common_out_neighbors]
-        if self.block_form is not None:
-            cert["k"] = self.block_form.k
-            cert["l"] = self.block_form.l
-            cert["partition"] = [list(part) for part in self.block_form.partition]
-        return {
-            "n": self.n,
-            "rep_dim": self.rep_dim,
-            "bound": self.bound,
-            "is_tight": self.is_tight,
-            "certificate": cert,
-        }
-
 
 def _square_is(T: Tournament, k: int, l: int) -> bool:
     """True iff S^2 = kI + lJ."""

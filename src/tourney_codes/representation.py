@@ -67,26 +67,6 @@ class RepReport:
     spectrum: Spectrum
     tournament: Tournament = field(compare=False, repr=False)
 
-    def to_json_dict(self, *, spectrum=None) -> dict:
-        """The report as JSON values.
-
-        spectrum, when given, goes under "spectrum" in place of the list
-        of eigenvalue rows, which is then not built.
-        """
-        out = {
-            "n": self.n,
-            "type": int(self.type_class.variant),
-            "rep_dim": self.rep_dim,
-            "alpha": {"re": float(self.alpha.real), "im": float(self.alpha.imag)},
-            "spectrum": (self.spectrum.to_json_dict()["eigenvalues"] if spectrum is None
-                         else spectrum),
-        }
-        if self.type_class.c1 is not None:
-            out["c1"] = float(self.type_class.c1)
-        if self.type_class.c2 is not None:
-            out["c2"] = float(self.type_class.c2)
-        return out
-
 
 @dataclass(frozen=True, eq=False)
 class Embedding:
@@ -268,15 +248,19 @@ def verify_embedding(emb: Embedding, T: Tournament) -> EmbeddingVerdict:
     if X.ndim != 2 or X.shape[0] != T.n:
         raise InputError(f"embedding has {X.shape[0] if X.ndim == 2 else '?'} vectors, "
                          f"tournament has {T.n} vertices")
-    inner = X.conj() @ X.T
-    worst = [np.abs(np.diag(inner).real - 1.0).max(), np.abs(np.diag(inner).imag).max()]
-    if T.n > 1:
-        rows, cols = upper_pairs(T.n)
-        arcs = pair_bits(T) == 1
-        d = inner[rows, cols] - np.where(arcs, emb.alpha, np.conj(emb.alpha))
-        # hypot rounds exactly as the scalar abs() of one complex value does;
-        # np.abs on an array can differ from it in the last bit.
-        worst.append(np.hypot(d.real, d.imag).max())
+    # A huge or infinite coordinate overflows or makes inf - inf in the
+    # products; the NaN or inf it leaves fails the verdict, so numpy need
+    # not warn of it.
+    with np.errstate(invalid="ignore", over="ignore"):
+        inner = X.conj() @ X.T
+        worst = [np.abs(np.diag(inner).real - 1.0).max(), np.abs(np.diag(inner).imag).max()]
+        if T.n > 1:
+            rows, cols = upper_pairs(T.n)
+            arcs = pair_bits(T) == 1
+            d = inner[rows, cols] - np.where(arcs, emb.alpha, np.conj(emb.alpha))
+            # hypot rounds exactly as the scalar abs() of one complex value
+            # does; np.abs on an array can differ from it in the last bit.
+            worst.append(np.hypot(d.real, d.imag).max())
     # np.max keeps a NaN, which fails the verdict; builtin max may drop it.
     deviation = float(np.max(worst))
     return EmbeddingVerdict(deviation <= EMBED_TOL, deviation)

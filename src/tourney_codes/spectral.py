@@ -89,14 +89,6 @@ class Spectrum:
         main = self.main_lines()
         return MainSpectrum(tuple(l.tau for l in main), tuple(l.beta for l in main))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "eigenvalues": [
-                {"tau": float(l.tau), "mult": int(l.mult), "beta": float(l.beta)}
-                for l in self.lines
-            ]
-        }
-
 
 def seidel_matrix(T: Tournament) -> np.ndarray:
     """Hermitian matrix sqrt(-1) (A - A^T); entry (u, v) is +i iff u -> v."""

@@ -8,6 +8,40 @@ from tourney_codes import enumerate_tournaments, paley_tournament, parse_line
 ORDER4_LINES = ("4:111111", "4:111010", "4:011101", "4:011011")
 
 
+# The report schema, built here from the records' fields and not by the
+# CLI's own result builders, so that tests of the CLI's output check them.
+def spectrum_rows(spec):
+    """A Spectrum's lines as the list of dicts a report holds."""
+    return [{"tau": float(l.tau), "mult": int(l.mult), "beta": float(l.beta)}
+            for l in spec.lines]
+
+
+def analysis_dict(report):
+    """The result an analyze report gives, before any "tightness"."""
+    tc = report.type_class
+    out = {"line": report.tournament.line(), "n": report.n, "type": int(tc.variant),
+           "rep_dim": report.rep_dim,
+           "alpha": {"re": float(report.alpha.real), "im": float(report.alpha.imag)},
+           "spectrum": spectrum_rows(report.spectrum)}
+    for key, value in (("c1", tc.c1), ("c2", tc.c2)):
+        if value is not None:
+            out[key] = float(value)
+    return out
+
+
+def tightness_dict(t):
+    """The "tightness" dict of a TightnessReport."""
+    cert = {"kind": t.certificate_kind}
+    if t.drt_params is not None:
+        p = t.drt_params
+        cert["params"] = [p.n, p.out_degree, p.common_out_neighbors]
+    if t.block_form is not None:
+        cert.update(k=t.block_form.k, l=t.block_form.l,
+                    partition=[list(part) for part in t.block_form.partition])
+    return {"n": t.n, "rep_dim": t.rep_dim, "bound": t.bound, "is_tight": t.is_tight,
+            "certificate": cert}
+
+
 @pytest.fixture
 def cycle3():
     return parse_line("3:101")

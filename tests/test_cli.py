@@ -25,7 +25,7 @@ from tourney_codes.spectral import SpectralLine, Spectrum
 from tourney_codes import _floatrepr, cli, representation
 from tourney_codes._paper import _check_embed_all
 from tourney_codes.cli import main
-from conftest import ORDER4_LINES
+from conftest import ORDER4_LINES, analysis_dict, spectrum_rows, tightness_dict
 
 
 def run_cli(capsys, *argv):
@@ -190,6 +190,58 @@ def test_switching_class_command(capsys):
     assert res["classes"] == ["3:000", "3:010"]
 
 
+# The four planted certificate lines of the CI's console script step:
+# Paley 7, its dominated extension, Paley 7 minus a vertex and the block
+# form of two Paley 3s.
+GOLDEN_CERTIFICATES = {
+    "7:110100110101101110111": {"kind": "DRT", "params": [7, 3, 1]},
+    "8:1101001110101110111101111111": {"kind": "SkewHadamard"},
+    "6:110101101110111": {"kind": "DrtMinusVertex"},
+    "6:101111111111101": {"k": 3, "kind": "BlockForm", "l": 2,
+                          "partition": [[0, 1, 2], [3, 4, 5]]},
+}
+
+
+def test_certificate_json_is_golden(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(GOLDEN_CERTIFICATES) + "\n"))
+    rc, report, _ = run_json(capsys, "analyze", "-")
+    assert rc == 0
+    got = [(r["line"], r["tightness"]["certificate"]) for r in report["results"]]
+    assert got == list(GOLDEN_CERTIFICATES.items())
+
+
+def test_report_json_fields(capsys):
+    _, report, _ = run_json(capsys, "analyze", "3:101")
+    (d,) = report["results"]
+    assert d["n"] == 3 and d["type"] == 1 and d["rep_dim"] == 1
+    assert set(d["alpha"]) == {"re", "im"}
+    assert "c1" in d and "c2" not in d
+    _, report, _ = run_json(capsys, "analyze", "6:101111111111101")
+    (d,) = report["results"]
+    assert d["type"] == 3 and "c2" in d and "c1" not in d
+
+
+def test_spectrum_json_shape(capsys):
+    _, report, _ = run_json(capsys, "analyze", "3:101")
+    rows = report["results"][0]["spectrum"]
+    assert [e["mult"] for e in rows] == [1, 1, 1]
+    assert all(set(e) == {"tau", "mult", "beta"} for e in rows)
+
+
+def test_classify_json_shape(capsys):
+    _, report, _ = run_json(capsys, "analyze", "6:101111111111101")
+    d = report["results"][0]["tightness"]
+    assert set(d) == {"n", "rep_dim", "bound", "is_tight", "certificate"}
+    assert d["certificate"]["kind"] == "BlockForm"
+    assert (d["certificate"]["k"], d["certificate"]["l"]) == (3, 2)
+    assert d["certificate"]["partition"] == [[0, 1, 2], [3, 4, 5]]
+
+
+def test_count_json_shape(capsys):
+    _, report, _ = run_json(capsys, "count-tight", "--d", "1")
+    assert report["results"] == [{"d": 1, "count": 1, "catalog_trusted": False}]
+
+
 def test_count_tight_command(capsys):
     rc, report, _ = run_json(capsys, "count-tight", "--d", "2")
     assert rc == 0
@@ -309,8 +361,8 @@ def test_analyze_matches_separate_library_calls(capsys, monkeypatch):
     rc, report, _ = run_json(capsys, "analyze", "-")
     assert rc == 0
     for (kind, T), res in zip(planted.items(), report["results"]):
-        want = {"line": T.line(), **analyze(T).to_json_dict(),
-                "tightness": classify_code(analyze(T)).to_json_dict()}
+        rep = analyze(T)
+        want = {**analysis_dict(rep), "tightness": tightness_dict(classify_code(rep))}
         assert res == json.loads(json.dumps(want))
         assert res["tightness"]["certificate"]["kind"] == kind
 
@@ -565,7 +617,7 @@ def test_complex_rows_match_the_list_of_dicts_form(shape, monkeypatch):
     want = json.dumps({"results": [{"line": str(k), "vectors": old_vectors(A)}
                                    for k, A in enumerate(arrays)] + [{}, []]
                        + [{"b": old_vectors(X), "a": old_vectors(mixed),
-                           "spectrum": spec.to_json_dict()["eigenvalues"]}]},
+                           "spectrum": spectrum_rows(spec)}]},
                       sort_keys=True, indent=2)
     # Every array's floats formatted in blocks: with 2 * X.size floats a
     # block, blocks end between lines; with 7, inside them as well.
@@ -599,7 +651,7 @@ def test_embed_output_matches_the_dict_form(capsys, monkeypatch):
     for T in tournaments:
         emb = embed(T)
         verdict = verify_embedding(emb, T)
-        results.append({"line": T.line(), **emb.report.to_json_dict(),
+        results.append({**analysis_dict(emb.report),
                         "dimension": emb.dimension, "vectors": old_vectors(emb.vectors),
                         "max_deviation": verdict.max_deviation,
                         "check_passed": verdict.passed})
@@ -624,9 +676,9 @@ def test_analyze_output_matches_the_dict_form(capsys, monkeypatch):
     text = "".join(T.line() + "\n" for T in tournaments)
     results = []
     for T in tournaments:
-        result = {"line": T.line(), **analyze(T).to_json_dict()}
+        result = analysis_dict(analyze(T))
         if T.n >= 3:
-            result["tightness"] = classify_code(analyze(T)).to_json_dict()
+            result["tightness"] = tightness_dict(classify_code(analyze(T)))
         results.append(result)
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     rc, out, _ = run_cli(capsys, "analyze", "-")
@@ -641,7 +693,7 @@ def test_analyze_output_matches_the_dict_form(capsys, monkeypatch):
 ])
 def test_spectrum_rows_match_the_dict_form(rows):
     spec = Spectrum(len(rows), tuple(SpectralLine(t, m, b, b > 0) for t, m, b in rows), 1e-7)
-    want = spec.to_json_dict()["eigenvalues"]
+    want = spectrum_rows(spec)
     assert items_report([{"line": "x", "spectrum": spec}]) == json.dumps(
         {"results": [{"line": "x", "spectrum": want}]}, sort_keys=True, indent=2)
 
@@ -890,13 +942,16 @@ def test_embed_forks_under_default_blas_threading(tmp_path):
     assert outputs[0].stdout == outputs[1].stdout == outputs[2].stdout
 
 
-def test_workers_leave_the_spectrum_rows_unbuilt(capsys, monkeypatch):
-    def refuse(self):
-        raise AssertionError("spectrum rows built")
-
-    monkeypatch.setattr(Spectrum, "to_json_dict", refuse)
-    for command in ("analyze", "embed"):
-        assert run_cli(capsys, command, "3:101")[0] == 0
+def test_workers_leave_the_spectrum_rows_unbuilt(monkeypatch):
+    made = []
+    for name, real in (("analyze", analyze), ("embed", embed)):
+        monkeypatch.setattr(cli, name, lambda *a, real=real: made.append(real(*a)) or made[-1])
+    T = parse_line("3:101")
+    results = [cli._analyze_worker(T, DEFAULT_TOLERANCES),
+               cli._embed_worker(T, DEFAULT_TOLERANCES)]
+    # the worker's result holds the report's own Spectrum, for the template
+    for result, report in zip(results, [made[0], made[1].report], strict=True):
+        assert result["spectrum"] is report.spectrum
 
 
 def test_a_failed_fork_leaks_no_pipe(capsys, monkeypatch):

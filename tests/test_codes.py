@@ -218,13 +218,6 @@ def test_classify_needs_three_vertices(two_vertex):
         classify_code(analyze(two_vertex))
 
 
-def test_classify_json_shape(block6):
-    d = classify_code(analyze(block6)).to_json_dict()
-    assert d["certificate"]["kind"] == "BlockForm"
-    assert (d["certificate"]["k"], d["certificate"]["l"]) == (3, 2)
-    assert d["certificate"]["partition"] == [[0, 1, 2], [3, 4, 5]]
-
-
 def _planted(paley7, paley11):
     # one tournament of each certificate kind, at two sizes each
     return [paley11, paley_tournament(19),
@@ -486,11 +479,6 @@ def test_count_tight_with_catalog_file(tmp_path, paley7):
     path.write_text(paley7.line() + "\n")
     res = count_tight_codes(3, str(path))
     assert (res.count, res.catalog_trusted) == (1, True)
-
-
-def test_count_json_shape():
-    assert count_tight_codes(1).to_json_dict() == {
-        "d": 1, "count": 1, "catalog_trusted": False}
 
 
 def test_checks_leave_logging_unloaded():

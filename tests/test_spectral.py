@@ -137,13 +137,6 @@ def test_paley_seven_main_angles(paley7):
     assert spec.lines[1].beta == pytest.approx(1.0, abs=1e-12)
 
 
-def test_spectrum_json_shape(cycle3):
-    d = spectrum_of(cycle3).to_json_dict()
-    assert set(d) == {"eigenvalues"}
-    assert [e["mult"] for e in d["eigenvalues"]] == [1, 1, 1]
-    assert all(set(e) == {"tau", "mult", "beta"} for e in d["eigenvalues"])
-
-
 def test_group_spectrum_rejects_bad_shapes():
     with pytest.raises(InputError):
         group_spectrum([0.0, 1.0], np.eye(3))
