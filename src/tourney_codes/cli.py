@@ -65,8 +65,8 @@ def _digest(*chunks: str) -> str:
     return h.hexdigest()
 
 
-# Floats per call of the vectors' formatter: a call runs a fixed few dozen
-# numpy operations, and its temporaries take a few hundred bytes a float.
+# Floats per call of the formatter: a call runs a fixed few dozen numpy
+# operations, and its temporaries take a few hundred bytes a float.
 _REPR_BLOCK = 2048
 # Holds the place of a value while json writes the text around it: of the
 # results list in a report, and of each table in a result.  No other
@@ -75,56 +75,45 @@ _SLOT = "\0"
 _SLOT_TEXT = json.dumps(_SLOT)
 
 
-def _is_table(o) -> bool:
-    """Whether o is written by template: embed's (n, d) complex128 vectors or a Spectrum."""
-    return isinstance(o, Spectrum) or (
-        isinstance(o, np.ndarray) and o.dtype == np.complex128 and o.ndim == 2)
+def _table(o):
+    """The keys, shape and floats of o if o is a table, else None: a Spectrum
+    has a {"beta", "mult", "tau"} object per line, embed's (n, d) complex128
+    vectors an {"im", "re"} object per entry.  The floats are in template
+    order; a line's multiplicity is an int, not among them."""
+    if isinstance(o, Spectrum):
+        return ("beta", "mult", "tau"), (len(o.lines),), np.array(
+            [x for l in o.lines for x in (l.beta, l.tau)], dtype=np.float64)
+    if isinstance(o, np.ndarray) and o.dtype == np.complex128 and o.ndim == 2:
+        # a view: each entry's re and im, read backwards
+        return ("im", "re"), o.shape, np.ascontiguousarray(o).view(np.float64).reshape(
+            *o.shape, 2)[..., ::-1]
+    return None
 
 
-def _block_reprs(arrays: list):
-    """For each complex array, the float.__repr__ texts of its floats in the
-    order its rows are written (im, then re, of each entry), as a tuple.
-    The formatter takes _REPR_BLOCK floats a call, across arrays."""
+def _block_reprs(tables: list):
+    """For each table (keys, shape, floats), the float.__repr__ texts of its
+    floats as a tuple.  The floats of all tables are formatted together,
+    _REPR_BLOCK a call."""
     from ._floatrepr import float_reprs
 
-    def blocks():
-        parts, size = [], 0
-        for X in arrays:
-            floats = np.stack([X.imag, X.real], -1).ravel()
-            while floats.size:
-                part, floats = floats[:_REPR_BLOCK - size], floats[_REPR_BLOCK - size:]
-                parts.append(part)
-                size += part.size
-                if size == _REPR_BLOCK:
-                    yield np.concatenate(parts)
-                    parts, size = [], 0
-        if parts:
-            yield np.concatenate(parts)
-
-    texts = itertools.chain.from_iterable(map(float_reprs, blocks()))
-    for X in arrays:
-        yield tuple(itertools.islice(texts, 2 * X.size))
+    floats = np.concatenate([f for *_, f in tables], axis=None)
+    blocks = (floats[k:k + _REPR_BLOCK] for k in range(0, floats.size, _REPR_BLOCK))
+    texts = itertools.chain.from_iterable(map(float_reprs, blocks))
+    for *_, f in tables:
+        yield tuple(itertools.islice(texts, f.size))
 
 
-def _complex_rows(X: np.ndarray, texts: tuple, nl: str) -> str:
-    """X as rows of {"im", "re"} objects, its floats written as texts; nl
-    is the newline and indentation that go before the closing bracket."""
-    n, d = X.shape
-    row_nl, entry_nl, key_nl = nl + "  ", nl + "    ", nl + "      "
-    entry = "{" + key_nl + '"im": %s,' + key_nl + '"re": %s' + entry_nl + "}"
-    row = "[" + entry_nl + ("," + entry_nl).join([entry] * d) + row_nl + "]" if d else "[]"
-    table = "[" + row_nl + ("," + row_nl).join([row] * n) + nl + "]" if n else "[]"
-    return table % texts
-
-
-def _spectrum_rows(spec: Spectrum, nl: str) -> str:
-    """spec's lines as rows of {"beta", "mult", "tau"} objects, as _complex_rows."""
-    row_nl, key_nl = nl + "  ", nl + "    "
-    row = ("{" + key_nl + '"beta": %r,' + key_nl + '"mult": %d,' + key_nl
-           + '"tau": %r' + row_nl + "}")
-    table = "[" + row_nl + ("," + row_nl).join([row] * len(spec.lines)) + nl + "]"
-    # %r writes float.__repr__ for the Python floats group_spectrum makes
-    return table % tuple([x for l in spec.lines for x in (l.beta, l.mult, l.tau)])
+def _template(keys: tuple, shape: tuple, nl: str) -> str:
+    """json.dumps(indent=2) of nested lists of the given shape whose items
+    are objects with keys, each value a %s slot; nl is the newline and
+    indentation that go before the closing bracket."""
+    inner = nl + "  "
+    if not shape:
+        return "{" + inner + ("," + inner).join([f'"{k}": %s' for k in keys]) + nl + "}"
+    if not shape[0]:
+        return "[]"
+    item = _template(keys, shape[1:], inner)
+    return "[" + inner + ("," + inner).join([item] * shape[0]) + nl + "]"
 
 
 def _encode_items(results: list, nl: str) -> list[str]:
@@ -132,17 +121,23 @@ def _encode_items(results: list, nl: str) -> list[str]:
     r, with nl for each newline.  The tables among a result dict's values
     are written by template into the slots json writes in their place;
     they are always finite, as embed() and group_spectrum make them.  The
-    floats of all the vectors are formatted together, _REPR_BLOCK at a time."""
-    found = [[(k, r[k]) for k in sorted(r) if _is_table(r[k])] if isinstance(r, dict) else []
+    floats of all the tables are formatted together."""
+    found = [[(k, t) for k in sorted(r) if (t := _table(r[k]))] if isinstance(r, dict) else []
              for r in results]
-    made = _block_reprs([v for tables in found for _, v in tables if isinstance(v, np.ndarray)])
+    made = _block_reprs([t for tables in found for _, t in tables])
     inner = nl + "  "
     texts = []
     for r, tables in zip(results, found):
+        rows = []
+        for k, (keys, shape, _) in tables:
+            values = next(made)
+            if isinstance(r[k], Spectrum):  # each line's mult goes between beta and tau
+                it = iter(values)
+                values = tuple(itertools.chain.from_iterable(
+                    zip(it, [l.mult for l in r[k].lines], it)))
+            rows.append(_template(keys, shape, inner) % values)
         if tables:
             r = {**r, **{k: _SLOT for k, _ in tables}}
-        rows = [_spectrum_rows(v, inner) if isinstance(v, Spectrum)
-                else _complex_rows(v, next(made), inner) for _, v in tables]
         # JSON text holds no raw newline, so every newline is json's indent.
         parts = json.dumps(r, sort_keys=True, indent=2).replace("\n", nl).split(_SLOT_TEXT)
         texts.append("".join([p + t for p, t in zip(parts, rows + [""], strict=True)]))
@@ -375,6 +370,9 @@ def _run_batch(args: argparse.Namespace, tol: Tolerances, command: str, worker,
     text = _read_input(args.input)
     entries = parse_catalog(text.splitlines(), numbered=True)
     head, sep, tail, encode = _frame(args, tol, command, _digest(text), tsv_row, not entries)
+    if args.format == "json":
+        # Loaded here, before any share forks, so no child imports it again.
+        from . import _floatrepr  # noqa: F401
     work = len(entries) if cost is None else sum([cost(T) for _, T in entries])
     shares = _split(entries, _share_count(work))
     _write_shares(worker, encode, shares, head, sep, tail)
@@ -388,9 +386,6 @@ def cmd_analyze(args: argparse.Namespace, tol: Tolerances) -> int:
 
 
 def cmd_embed(args: argparse.Namespace, tol: Tolerances) -> int:
-    if args.format == "json":
-        # Loaded here, before any share forks, so no child imports it again.
-        from . import _floatrepr  # noqa: F401
     _run_batch(args, tol, "embed", lambda T: _embed_worker(T, tol), lambda r: [
         r["line"], r["dimension"], f"{r['max_deviation']:.3e}", r["check_passed"]])
     return EXIT_OK

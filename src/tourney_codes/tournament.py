@@ -8,8 +8,10 @@ fresh object.
 
 Bulk reads and writes of the pair order go through one codec: upper_pairs(n)
 (row and column of each pair, in bit order), pair_bits(T) (the bits as a 0/1
-array) and its inverse from_pair_bits(n, upper).  Only arc()/pair_index()
-(single arcs), add_vertex and canonical_form's relabelling place bits by hand.
+array) and its inverse from_pair_bits(n, upper).  adjacency indexes by the
+strict upper triangle as a mask, which takes the same pairs in the same
+order.  Only arc()/pair_index() (single arcs) and canonical_form's
+relabelling place bits by hand.
 
 This module holds what analyze and embed use.  The named constructions,
 the transforms and the isomorphism classes are in _constructions, which
@@ -130,19 +132,23 @@ def _read_ascii(path: str, what: str) -> str:
 
 @lru_cache(maxsize=32)
 def upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only row and column indices of the pairs u < v, in bit order."""
+    """Read-only int32 row and column indices of the pairs u < v, in bit order."""
     # np.triu_indices walks the pairs in row-major order, the bit order.
-    rows, cols = np.triu_indices(n, 1)
+    rows, cols = (a.astype(np.int32) for a in np.triu_indices(n, 1))
     rows.flags.writeable = False
     cols.flags.writeable = False
     return rows, cols
 
 
+def _unpack(value: int, count: int) -> np.ndarray:
+    """The low count bits of value as a 0/1 uint8 array, lowest bit first."""
+    raw = value.to_bytes((count + 7) // 8, "little")
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=count, bitorder="little")
+
+
 def pair_bits(T: Tournament) -> np.ndarray:
     """0/1 array of the arc bits, in bit order: 1 iff u -> v for the pair u < v."""
-    raw = T.bits.to_bytes((T.num_pairs + 7) // 8, "little")
-    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=T.num_pairs,
-                         bitorder="little")
+    return _unpack(T.bits, T.num_pairs)
 
 
 def from_pair_bits(n: int, upper: np.ndarray) -> Tournament:
@@ -156,11 +162,14 @@ def from_pair_bits(n: int, upper: np.ndarray) -> Tournament:
 
 def adjacency(T: Tournament) -> np.ndarray:
     """0/1 adjacency matrix, A[u][v] = 1 iff the arc u -> v is present."""
-    upper = pair_bits(T).astype(np.int64)
-    rows, cols = upper_pairs(T.n)
+    upper = pair_bits(T)
+    k = np.arange(T.n)
+    # A mask takes its entries in row-major order, so the strict upper
+    # triangle takes them in bit order; it indexes faster than upper_pairs.
+    above = k[:, None] < k
     A = np.zeros((T.n, T.n), dtype=np.int64)
-    A[rows, cols] = upper
-    A[cols, rows] = 1 - upper
+    A[above] = upper
+    A.T[above] = 1 - upper
     return A
 
 
@@ -184,12 +193,7 @@ def add_vertex(T: Tournament, in_pattern: int) -> Tournament:
     n = T.n
     if not 0 <= in_pattern < 1 << n:
         raise InputError(f"in-pattern must have at most {n} bits, got {in_pattern}")
-    # Row u of the new pair order is row u of T followed by the pair (u, n).
-    bits = pos = src = 0
-    for u in range(n):
-        width = n - 1 - u
-        bits |= ((T.bits >> src) & ((1 << width) - 1)) << pos
-        bits |= ((in_pattern >> u) & 1) << (pos + width)
-        src += width
-        pos += width + 1
-    return Tournament(n + 1, bits)
+    A = np.zeros((n + 1, n + 1), dtype=np.uint8)
+    A[:n, :n] = adjacency(T)
+    A[:n, n] = _unpack(in_pattern, n)
+    return from_pair_bits(n + 1, A[upper_pairs(n + 1)])

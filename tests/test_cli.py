@@ -437,12 +437,15 @@ def test_import_leaves_the_process_pool_unloaded():
     assert out == "[]\n"
 
 
-def test_only_embed_json_loads_the_float_formatter():
+def test_json_batches_load_the_float_formatter():
     src = str(Path(tourney_codes.__file__).resolve().parents[1])
-    code = ("import sys; from tourney_codes import cli; rc = cli.main(sys.argv[1:]); "
+    code = ("import sys; from tourney_codes import cli; "
+            "rc = cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
             "sys.stderr.write(str('tourney_codes._floatrepr' in sys.modules))")
-    for argv, loaded in ((["analyze", "4:111010"], "False"),
+    for argv, loaded in (([], "False"),
+                         (["analyze", "4:111010", "--format", "tsv"], "False"),
                          (["embed", "4:111010", "--format", "tsv"], "False"),
+                         (["analyze", "4:111010"], "True"),
                          (["embed", "4:111010"], "True")):
         proc = subprocess.run([sys.executable, "-c", code, *argv],
                               env=dict(os.environ, PYTHONPATH=src),
@@ -599,6 +602,12 @@ SPECIAL_FLOATS = (0.0, -0.0, -1.0, 0.5, -0.125, 1e-3, 0.1, 0.01, 5.5511151231257
                   -2.5e-4, 1.0000000000000002, 7.0, 0.7071067811865476, -0.3333333333333333)
 
 
+# Spectrum lines (tau, mult, beta) whose floats the formatter leaves to
+# repr (|x| >= 1, |x| < 1e-3) beside 2^-9, its smallest power of two.
+SPECTRUM_ROWS = [(-7.697940666352725, 2, 2.0 ** -9), (-1.5, 1, 1e-4), (1.0, 3, 0.25),
+                 (2.0 ** -9, 1, 1.0), (3.0, 1, 0.0)]
+
+
 @pytest.mark.parametrize("shape", [(0, 0), (3, 0), (1, 1), (4, 1), (5, 3)])
 def test_complex_rows_match_the_list_of_dicts_form(shape, monkeypatch):
     rng = np.random.default_rng(sum(shape))
@@ -610,17 +619,18 @@ def test_complex_rows_match_the_list_of_dicts_form(shape, monkeypatch):
         assert got == json.dumps({"results": [{"line": "x", "vectors": old_vectors(A)}]},
                                  sort_keys=True, indent=2)
     # Tables are written in the order of their keys, not of insertion.
-    spec = Spectrum(2, (SpectralLine(-1.5, 2, 0.25, True), SpectralLine(3.0, 1, 0.0, False)),
-                    1e-7)
+    spec = Spectrum(5, tuple(SpectralLine(t, m, b, b > 0) for t, m, b in SPECTRUM_ROWS), 1e-7)
     items = [{"line": str(k), "vectors": A} for k, A in enumerate(arrays)] + [{}, []]
-    items.append({"b": X, "a": mixed, "spectrum": spec})
+    items += [{"b": X, "a": mixed, "spectrum": spec}, {"vectors": mixed, "spectrum": spec}]
     want = json.dumps({"results": [{"line": str(k), "vectors": old_vectors(A)}
                                    for k, A in enumerate(arrays)] + [{}, []]
                        + [{"b": old_vectors(X), "a": old_vectors(mixed),
-                           "spectrum": spectrum_rows(spec)}]},
+                           "spectrum": spectrum_rows(spec)},
+                          {"vectors": old_vectors(mixed), "spectrum": spectrum_rows(spec)}]},
                       sort_keys=True, indent=2)
-    # Every array's floats formatted in blocks: with 2 * X.size floats a
-    # block, blocks end between lines; with 7, inside them as well.
+    # Every table's floats formatted in blocks: with 2 * X.size floats a
+    # block, blocks end between lines; with 7, inside them as well; and
+    # one block ends after the third float of the first spectrum.
     real, sizes = _floatrepr.float_reprs, []
 
     def recorded(x):
@@ -628,13 +638,29 @@ def test_complex_rows_match_the_list_of_dicts_form(shape, monkeypatch):
         return real(x)
 
     monkeypatch.setattr(_floatrepr, "float_reprs", recorded)
-    floats = 2 * (sum(A.size for A in arrays) + X.size + mixed.size)
-    for block in {7, max(1, 2 * X.size), cli._REPR_BLOCK}:
+    before_spectrum = 2 * (sum(A.size for A in arrays) + X.size + mixed.size)
+    floats = before_spectrum + 2 * mixed.size + 2 * 2 * len(spec.lines)
+    for block in {7, max(1, 2 * X.size), before_spectrum + 3, cli._REPR_BLOCK}:
         monkeypatch.setattr(cli, "_REPR_BLOCK", block)
         sizes.clear()
         assert items_report(items) == want
         # one call per full block, and one for the rest
         assert sizes == [block] * (floats // block) + [floats % block] * (floats % block > 0)
+
+
+@pytest.mark.parametrize("shape", [(0,), (1,), (3,), (0, 2), (2, 0), (2, 3)])
+def test_template_is_what_json_writes(shape):
+    keys = ("a", "b", "c")
+    values = [float(k) for k in range(len(keys) * math.prod(shape))]
+    items = iter([dict(zip(keys, row)) for row in zip(*[iter(values)] * len(keys))])
+
+    def nest(shape):
+        return [nest(shape[1:]) for _ in range(shape[0])] if shape else next(items)
+
+    # a table of the results list sits at an indent of six spaces
+    nl = "\n      "
+    want = json.dumps(nest(shape), sort_keys=True, indent=2).replace("\n", nl)
+    assert cli._template(keys, shape, nl) % tuple(map(repr, values)) == want
 
 
 def test_embed_output_matches_the_dict_form(capsys, monkeypatch):
@@ -656,9 +682,11 @@ def test_embed_output_matches_the_dict_form(capsys, monkeypatch):
                         "max_deviation": verdict.max_deviation,
                         "check_passed": verdict.passed})
     want = json.dumps(envelope("embed", text, results), sort_keys=True, indent=2) + "\n"
-    # The first line has 24 floats: blocks of 24 end between lines and
-    # inside them; blocks of the default size end inside the n = 94 line.
-    assert 2 * embed(tournaments[0]).vectors.size == 24
+    # The first line has 8 spectrum floats, then 24 vector floats: blocks of
+    # 24 end inside its vectors; blocks of the default size end inside the
+    # n = 94 line.
+    first = embed(tournaments[0])
+    assert (2 * len(first.report.spectrum.lines), 2 * first.vectors.size) == (8, 24)
     for block in (24, cli._REPR_BLOCK):
         monkeypatch.setattr(cli, "_REPR_BLOCK", block)
         for shares in (1, 3):
@@ -690,6 +718,7 @@ def test_analyze_output_matches_the_dict_form(capsys, monkeypatch):
 @pytest.mark.parametrize("rows", [
     [(2.5, 1, 0.125)],
     [(-0.0, 2, 0.0), (1e-300, 1, 5e-324), (-1.7320508075688772, 3, 0.5773502691896257)],
+    SPECTRUM_ROWS,
 ])
 def test_spectrum_rows_match_the_dict_form(rows):
     spec = Spectrum(len(rows), tuple(SpectralLine(t, m, b, b > 0) for t, m, b in rows), 1e-7)

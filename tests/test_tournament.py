@@ -16,7 +16,7 @@ from tourney_codes import (InputError, Tournament, add_vertex, adjacency, build,
                            random_tournament, relabel, seidel_matrix, seidel_squared,
                            switch, switching_class)
 from tourney_codes._constructions import _out_masks
-from tourney_codes.tournament import pair_index
+from tourney_codes.tournament import pair_index, upper_pairs
 
 # Adjacency matrices of the four order-4 classes, written out in full.
 ORDER4_MATRICES = [
@@ -547,11 +547,25 @@ def test_add_vertex_matches_arc_definition(classes_by_order):
     cases += [(T, p) for n in range(2, 6) for T in classes_by_order[n]
               for p in range(1 << n)]
     rng = random.Random(77)
-    for n in (8, 17, 40):
+    # at n = 70 the patterns exceed 2^63
+    for n in (8, 17, 40, 70):
         T = random_tournament(n, rng)
         cases += [(T, 0), (T, (1 << n) - 1), (T, rng.getrandbits(n))]
+    assert sum(pattern >= 2 ** 63 for _, pattern in cases) == 2
     for T, pattern in cases:
         assert add_vertex(T, pattern) == _extend_by_arcs(T, pattern)
+
+
+def test_upper_pairs_caches_read_only_int32_indices():
+    for n in (1, 2, 5, 94):
+        rows, cols = upper_pairs(n)
+        assert upper_pairs(n)[0] is rows and upper_pairs(n)[1] is cols
+        assert rows.dtype == cols.dtype == np.int32
+        assert not rows.flags.writeable and not cols.flags.writeable
+        assert [(u, v) for u, v in zip(rows.tolist(), cols.tolist())] == [
+            (u, v) for u in range(n) for v in range(u + 1, n)]
+    with pytest.raises(ValueError):
+        rows[0] = 1
 
 
 def test_add_vertex_arcs(cycle3):
