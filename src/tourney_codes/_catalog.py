@@ -14,13 +14,13 @@ from ._constructions import (canonical_form, dominated_extension, enumerate_tour
                              paley_tournament, switching_class)
 from .codes import is_doubly_regular
 from .errors import InputError
-from .spectral import DEFAULT_TOLERANCES, Tolerances, spectrum_of
+from .spectral import spectrum_of
 from .tournament import Tournament, _read_ascii, parse_catalog
 
 BUILTIN_CATALOG_ORDERS = (3, 7, 11)
 
 
-def verify_no_double_zero_spectrum(n: int, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
+def verify_no_double_zero_spectrum(n: int) -> bool:
     """Exhaustively confirm that no tournament on n vertices has spectrum
     (-theta)^(d-1), 0, 0, theta^(d-1) with d = n/2.
 
@@ -34,7 +34,7 @@ def verify_no_double_zero_spectrum(n: int, tol: Tolerances = DEFAULT_TOLERANCES)
     else:
         shape = [d - 1, 2, d - 1]
     for T in enumerate_tournaments(n):
-        spectrum = spectrum_of(T, tol)
+        spectrum = spectrum_of(T)
         if list(spectrum.multiplicities()) != shape:
             continue
         middle = spectrum.lines[len(shape) // 2]

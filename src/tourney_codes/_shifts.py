@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InputError
 from .representation import RepReport, TypeVariant
-from .spectral import (DEFAULT_TOLERANCES, MainSpectrum, Tolerances, cluster, eigensystem,
+from .spectral import (CLUSTER_GAP_FACTOR, MainSpectrum, cluster, eigensystem,
                        group_spectrum, seidel_matrix)
 from .tournament import Tournament
 
@@ -31,8 +31,7 @@ class CharIdentityResult:
     skipped: tuple[float, ...]
 
 
-def char_identity_residual(H, a: float, x_samples,
-                           tol: Tolerances = DEFAULT_TOLERANCES) -> CharIdentityResult:
+def char_identity_residual(H, a: float, x_samples) -> CharIdentityResult:
     """Check det(M - xI) = det(H - xI) (1 + a sum_i n beta_i^2 / (tau_i - x))
     for M = H + aJ at the given sample points.
 
@@ -42,7 +41,7 @@ def char_identity_residual(H, a: float, x_samples,
     """
     w_h, V = eigensystem(H)
     n = len(w_h)
-    spec = group_spectrum(w_h, V, tol=tol)
+    spec = group_spectrum(w_h, V)
     M = np.asarray(H, dtype=np.complex128) + a * np.ones((n, n))
     w_m, _ = eigensystem(M)
 
@@ -76,8 +75,7 @@ class InterlacingVerdict:
     violations: tuple[str, ...]
 
 
-def shifted_main_spectrum(H, a: float, tol: Tolerances = DEFAULT_TOLERANCES
-                          ) -> tuple[MainSpectrum, InterlacingVerdict]:
+def shifted_main_spectrum(H, a: float) -> tuple[MainSpectrum, InterlacingVerdict]:
     """Main spectrum of M = H + aJ and its interlacing verdict against H.
 
     For a > 0 the main eigenvalues must satisfy tau_1 < mu_1 < tau_2 < ...
@@ -85,16 +83,16 @@ def shifted_main_spectrum(H, a: float, tol: Tolerances = DEFAULT_TOLERANCES
     lo < hi is recorded as a violation only when lo exceeds hi by more than
     INTERLACING_SLACK, so lo == hi passes.  Demanding a gap instead would
     flag true strict interlacing: a main eigenvalue whose beta is near
-    beta_zero moves by only about n |a| beta^2 under the shift, below 1e-7.
+    BETA_ZERO_TOL moves by only about n |a| beta^2 under the shift, below 1e-7.
     """
     if a == 0:
         raise InputError("the shift a must be nonzero")
     w_h, V_h = eigensystem(H)
     n = len(w_h)
-    main_h = group_spectrum(w_h, V_h, tol=tol).main_spectrum()
+    main_h = group_spectrum(w_h, V_h).main_spectrum()
     M = np.asarray(H, dtype=np.complex128) + a * np.ones((n, n))
     w_m, V_m = eigensystem(M)
-    main_m = group_spectrum(w_m, V_m, tol=tol).main_spectrum()
+    main_m = group_spectrum(w_m, V_m).main_spectrum()
 
     violations = []
     if len(main_h.taus) != len(main_m.taus):
@@ -116,8 +114,7 @@ def shifted_main_spectrum(H, a: float, tol: Tolerances = DEFAULT_TOLERANCES
     return main_m, verdict
 
 
-def multiplicity_profile(T: Tournament, a_values,
-                         tol: Tolerances = DEFAULT_TOLERANCES) -> list[tuple[float, int]]:
+def multiplicity_profile(T: Tournament, a_values) -> list[tuple[float, int]]:
     """Multiplicity of the smallest eigenvalue of aJ + S for each shift a."""
     S = seidel_matrix(T)
     J = np.ones((T.n, T.n))
@@ -125,7 +122,7 @@ def multiplicity_profile(T: Tournament, a_values,
     for a in a_values:
         a = float(a)
         w = np.linalg.eigvalsh(a * J + S)
-        gap_tol = tol.cluster_gap_factor * max(1.0, float(np.abs(w).max()))
+        gap_tol = CLUSTER_GAP_FACTOR * max(1.0, float(np.abs(w).max()))
         out.append((a, len(cluster(w.tolist(), gap_tol)[0])))
     return out
 

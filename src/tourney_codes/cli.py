@@ -14,7 +14,6 @@ import argparse
 import hashlib
 import itertools
 import json
-import math
 import os
 import sys
 
@@ -24,21 +23,13 @@ from . import __version__
 from .codes import TightnessReport, classify_code
 from .errors import InputError, InternalConsistencyError
 from .representation import RepReport, analyze, embed
-from .spectral import BETA_ZERO_TOL, CLUSTER_GAP_FACTOR, Tolerances, Spectrum
+from .spectral import BETA_ZERO_TOL, CLUSTER_GAP_FACTOR, Spectrum
 from .tournament import Tournament, _read_ascii, parse_catalog
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
-
-
-def _tolerances(args: argparse.Namespace) -> Tolerances:
-    eig, beta = args.eig_tol, args.beta_tol
-    # NaN fails both comparisons, so it is refused with infinity.
-    if not (0 < eig < math.inf and 0 < beta < math.inf):
-        raise InputError("tolerances must be positive and finite")
-    return Tolerances(cluster_gap_factor=eig, beta_zero=beta)
 
 
 def _read_input(spec: str) -> str:
@@ -187,16 +178,16 @@ def _tightness(t: TightnessReport) -> dict:
             "certificate": cert}
 
 
-def _analyze_worker(T: Tournament, tol: Tolerances) -> dict:
-    report = analyze(T, tol)
+def _analyze_worker(T: Tournament) -> dict:
+    report = analyze(T)
     out = _analysis(T, report)
     if T.n >= 3:
         out["tightness"] = _tightness(classify_code(report))
     return out
 
 
-def _embed_worker(T: Tournament, tol: Tolerances) -> dict:
-    emb = embed(T, tol)
+def _embed_worker(T: Tournament) -> dict:
+    emb = embed(T)
     out = _analysis(T, emb.report)
     out["dimension"] = emb.dimension
     out["vectors"] = emb.vectors
@@ -323,8 +314,8 @@ def _write_shares(worker, encode, shares: list[list], head: str, sep: str,
             os.waitpid(pid, 0)
 
 
-def _frame(args: argparse.Namespace, tol: Tolerances, command: str, digest: str, tsv_row,
-           empty: bool, **fields):
+def _frame(args: argparse.Namespace, command: str, digest: str, tsv_row, empty: bool,
+           **fields):
     """How a report is written: head, sep, tail and encode(results), the
     list of the texts of results.  The report is head, then the texts of
     all its results joined by sep, then tail.  A JSON report carries fields
@@ -336,7 +327,7 @@ def _frame(args: argparse.Namespace, tol: Tolerances, command: str, digest: str,
 
         return "", "", "", encode
     report = {"command": command, "version": __version__, "inputs_digest": digest,
-              "tolerances": {"eig_tol": tol.cluster_gap_factor, "beta_tol": tol.beta_zero},
+              "tolerances": {"eig_tol": CLUSTER_GAP_FACTOR, "beta_tol": BETA_ZERO_TOL},
               "results": [] if empty else [_SLOT], **fields}
     doc = json.dumps(report, sort_keys=True, indent=2) + "\n"
     head, _, tail = doc.partition(_SLOT_TEXT)
@@ -351,25 +342,24 @@ def _frame(args: argparse.Namespace, tol: Tolerances, command: str, digest: str,
     return head, sep, tail, encode
 
 
-def _emit(args: argparse.Namespace, tol: Tolerances, command: str, digest: str, tsv_row,
-          results: list, **fields) -> None:
+def _emit(args: argparse.Namespace, command: str, digest: str, tsv_row, results: list,
+          **fields) -> None:
     """Write the report of results computed in this process."""
-    head, sep, tail, encode = _frame(args, tol, command, digest, tsv_row, not results,
-                                     **fields)
+    head, sep, tail, encode = _frame(args, command, digest, tsv_row, not results, **fields)
     sys.stdout.write(head)
     _write_joined(sys.stdout, encode(results), sep)
     sys.stdout.write(tail)
 
 
-def _run_batch(args: argparse.Namespace, tol: Tolerances, command: str, worker,
-               tsv_row, cost=None) -> None:
+def _run_batch(args: argparse.Namespace, command: str, worker, tsv_row,
+               cost=None) -> None:
     """Run worker on every input line and write the report.  The lines are
     cut into contiguous shares, one per usable CPU, each run and encoded in
     a process of its own.  cost(T) is the work of one line counted in
     analyze lines; without it every line counts as one."""
     text = _read_input(args.input)
     entries = parse_catalog(text.splitlines(), numbered=True)
-    head, sep, tail, encode = _frame(args, tol, command, _digest(text), tsv_row, not entries)
+    head, sep, tail, encode = _frame(args, command, _digest(text), tsv_row, not entries)
     if args.format == "json":
         # Loaded here, before any share forks, so no child imports it again.
         from . import _floatrepr  # noqa: F401
@@ -378,28 +368,28 @@ def _run_batch(args: argparse.Namespace, tol: Tolerances, command: str, worker,
     _write_shares(worker, encode, shares, head, sep, tail)
 
 
-def cmd_analyze(args: argparse.Namespace, tol: Tolerances) -> int:
-    _run_batch(args, tol, "analyze", lambda T: _analyze_worker(T, tol), lambda r: [
+def cmd_analyze(args: argparse.Namespace) -> int:
+    _run_batch(args, "analyze", _analyze_worker, lambda r: [
         r["line"], r["type"], r["rep_dim"], r["alpha"]["re"], r["alpha"]["im"],
         r.get("tightness", {}).get("certificate", {}).get("kind", "")])
     return EXIT_OK
 
 
-def cmd_embed(args: argparse.Namespace, tol: Tolerances) -> int:
-    _run_batch(args, tol, "embed", lambda T: _embed_worker(T, tol), lambda r: [
+def cmd_embed(args: argparse.Namespace) -> int:
+    _run_batch(args, "embed", _embed_worker, lambda r: [
         r["line"], r["dimension"], f"{r['max_deviation']:.3e}", r["check_passed"]])
     return EXIT_OK
 
 
-def cmd_enumerate(args: argparse.Namespace, tol: Tolerances) -> int:
+def cmd_enumerate(args: argparse.Namespace) -> int:
     from ._constructions import enumerate_tournaments
 
     lines = [T.line() for T in enumerate_tournaments(args.n)]
-    _emit(args, tol, "enumerate", _digest(f"n={args.n}"), lambda line: [line], lines)
+    _emit(args, "enumerate", _digest(f"n={args.n}"), lambda line: [line], lines)
     return EXIT_OK
 
 
-def cmd_switching_class(args: argparse.Namespace, tol: Tolerances) -> int:
+def cmd_switching_class(args: argparse.Namespace) -> int:
     # Loaded here, before any share forks, so no child imports it again.
     from ._constructions import switching_class
 
@@ -410,29 +400,29 @@ def cmd_switching_class(args: argparse.Namespace, tol: Tolerances) -> int:
     # A line costs 2^(n-1) switchings.  Timed on two CPUs, a share wins back
     # its fork from about 256 switchings of small orders, so 16 switchings
     # count as one analyze line, and a batch of orders 4 or less never splits.
-    _run_batch(args, tol, "switching-class", worker, lambda r: [
+    _run_batch(args, "switching-class", worker, lambda r: [
         r["line"], r["count"], " ".join(r["classes"])], cost=lambda T: 2 ** T.n // 32)
     return EXIT_OK
 
 
-def cmd_count_tight(args: argparse.Namespace, tol: Tolerances) -> int:
+def cmd_count_tight(args: argparse.Namespace) -> int:
     from ._catalog import _count_tight, _read_catalog
 
     text = _read_catalog(args.catalog) if args.d >= 1 else None
     count = _count_tight(args.d, text)
     result = {"d": count.d, "count": count.count, "catalog_trusted": count.catalog_trusted}
-    _emit(args, tol, "count-tight", _digest(f"d={args.d}", text or ""), lambda r: [
+    _emit(args, "count-tight", _digest(f"d={args.d}", text or ""), lambda r: [
         r["d"], r["count"], r["catalog_trusted"]], [result])
     return EXIT_OK
 
 
-def cmd_verify_paper(args: argparse.Namespace, tol: Tolerances) -> int:
+def cmd_verify_paper(args: argparse.Namespace) -> int:
     from ._paper import paper_checks
 
-    checks = paper_checks(args.level, tol)
+    checks = paper_checks(args.level)
     results = [{"id": name, "pass": ok, "detail": detail} for name, ok, detail in checks]
     all_pass = all(r["pass"] for r in results)
-    _emit(args, tol, "verify-paper", _digest(f"level={args.level}"), lambda r: [
+    _emit(args, "verify-paper", _digest(f"level={args.level}"), lambda r: [
         "PASS" if r["pass"] else "FAIL", r["id"], r["detail"]], results, all_pass=all_pass)
     return EXIT_OK if all_pass else EXIT_VERIFY
 
@@ -446,10 +436,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("json", "tsv"), default="json",
                        help="output format (default json)")
-        p.add_argument("--eig-tol", type=float, default=CLUSTER_GAP_FACTOR,
-                       help="eigenvalue clustering tolerance factor")
-        p.add_argument("--beta-tol", type=float, default=BETA_ZERO_TOL,
-                       help="main angle zero threshold")
 
     p = sub.add_parser("analyze", help="type, dimension, and angle per tournament")
     p.add_argument("input", nargs="?", default="-",
@@ -493,7 +479,7 @@ def main(argv=None) -> int:
     """Run the command line argv; returns the exit code."""
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args, _tolerances(args))
+        return args.fn(args)
     except InputError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT

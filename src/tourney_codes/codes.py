@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InputError, InternalConsistencyError
 from .representation import RepReport, TypeVariant
-from .tournament import Tournament, add_vertex, adjacency, seidel_squared
+from .tournament import Tournament, _with_vertex, adjacency, seidel_squared
 
 
 @dataclass(frozen=True)
@@ -133,14 +133,12 @@ def block_form_check(T: Tournament) -> BlockFormCert | None:
 def _forced_extension(T: Tournament) -> Tournament | None:
     # In a doubly regular tournament of order n + 1 every out-degree is
     # n/2, so the orientation of each arc at the new vertex is forced.
+    A = adjacency(T)
+    degrees = A.sum(axis=1)
     target = T.n // 2
-    pattern = 0
-    for v, deg in enumerate(adjacency(T).sum(axis=1).tolist()):
-        if deg == target - 1:
-            pattern |= 1 << v
-        elif deg != target:
-            return None
-    return add_vertex(T, pattern)
+    if not ((degrees == target) | (degrees == target - 1)).all():
+        return None
+    return _with_vertex(A, degrees == target - 1)
 
 
 def _deleted_drt_spectrum(report: RepReport) -> bool:

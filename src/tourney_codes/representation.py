@@ -219,14 +219,14 @@ def _rank_cutoff(w: np.ndarray, expected_rank: int) -> float:
     return cutoff
 
 
-def embed(T: Tournament, tol: Tolerances = DEFAULT_TOLERANCES) -> Embedding:
+def embed(T: Tournament) -> Embedding:
     """Explicit unit vectors realizing the minimum dimension.
 
     The Gram matrix at the optimal angle is factorized through its
     eigendecomposition; the embedding is verified before being returned,
     and carries the deviation its verification measured.
     """
-    report = analyze(T, tol)
+    report = analyze(T)
     w, U = np.linalg.eigh(gram_matrix(T, report.alpha))
     keep = w >= _rank_cutoff(w, report.rep_dim)
     vectors = U[:, keep].conj() * np.sqrt(w[keep])

@@ -30,16 +30,11 @@ SUM_BETA_SQ_TOL = 1e-8
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical thresholds shared by the spectral pipeline.
-
-    cluster_gap_factor scales with the spectral radius to decide when two
-    floating eigenvalues belong to one true eigenvalue; beta_zero is the
-    main-angle zero threshold; the beta_exact band marks the floating
-    values that must be settled by exact integer arithmetic.
+    """The band of floating main angles that group_spectrum settles by
+    exact integer arithmetic.  The clustering gap and the main-angle zero
+    threshold are the constants CLUSTER_GAP_FACTOR and BETA_ZERO_TOL.
     """
 
-    cluster_gap_factor: float = CLUSTER_GAP_FACTOR
-    beta_zero: float = BETA_ZERO_TOL
     beta_exact_lo: float = BETA_EXACT_BAND[0]
     beta_exact_hi: float = BETA_EXACT_BAND[1]
 
@@ -236,7 +231,7 @@ def _resolve_mainness(taus, betas, s2, tol: Tolerances, cluster_tol: float) -> l
     # matrix S^2 decides: tau is main exactly when tau^2 is a root of p.
     ambiguous = [tol.beta_exact_lo <= b <= tol.beta_exact_hi for b in betas]
     if s2 is None or not any(ambiguous):
-        return [b > tol.beta_zero for b in betas]
+        return [b > BETA_ZERO_TOL for b in betas]
     from fractions import Fraction
 
     p, _ = _krylov_minimal_polynomial(s2)
@@ -285,7 +280,7 @@ def group_spectrum(eigenvalues, eigenvectors, *, exact_s2=None,
                    tol: Tolerances = DEFAULT_TOLERANCES) -> Spectrum:
     """Cluster floating eigenvalues and attach main angles.
 
-    Consecutive eigenvalues closer than cluster_gap_factor * max(1, radius)
+    Consecutive eigenvalues closer than CLUSTER_GAP_FACTOR * max(1, radius)
     share a cluster.  For cluster i with projector E_i, the main angle is
     beta_i = |E_i j| / sqrt(n), always against the all-ones vector j, so the
     squares sum to one.  Gaps inside [tol, 10 tol) are flagged as
@@ -305,7 +300,7 @@ def group_spectrum(eigenvalues, eigenvectors, *, exact_s2=None,
     V = V[:, order]
 
     radius = max(1.0, float(np.abs(w).max()))
-    gap_tol = tol.cluster_gap_factor * radius
+    gap_tol = CLUSTER_GAP_FACTOR * radius
     wl = w.tolist()
     clusters = cluster(wl, gap_tol)
 

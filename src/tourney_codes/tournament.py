@@ -185,6 +185,16 @@ def seidel_squared(T: Tournament) -> np.ndarray:
     return (-(K @ K)).astype(np.int64)
 
 
+def _with_vertex(A: np.ndarray, column) -> Tournament:
+    """The tournament of adjacency matrix A with one new vertex n = len(A);
+    column[v] = 1 means the arc v -> n, 0 the arc n -> v."""
+    n = len(A)
+    B = np.zeros((n + 1, n + 1), dtype=np.uint8)
+    B[:n, :n] = A
+    B[:n, n] = column
+    return from_pair_bits(n + 1, B[upper_pairs(n + 1)])
+
+
 def add_vertex(T: Tournament, in_pattern: int) -> Tournament:
     """T with one new vertex n = T.n added.
 
@@ -193,7 +203,4 @@ def add_vertex(T: Tournament, in_pattern: int) -> Tournament:
     n = T.n
     if not 0 <= in_pattern < 1 << n:
         raise InputError(f"in-pattern must have at most {n} bits, got {in_pattern}")
-    A = np.zeros((n + 1, n + 1), dtype=np.uint8)
-    A[:n, :n] = adjacency(T)
-    A[:n, n] = _unpack(in_pattern, n)
-    return from_pair_bits(n + 1, A[upper_pairs(n + 1)])
+    return _with_vertex(adjacency(T), _unpack(in_pattern, n))

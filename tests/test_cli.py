@@ -17,12 +17,13 @@ import numpy as np
 import pytest
 
 import tourney_codes
-from tourney_codes import (DEFAULT_TOLERANCES, EmbeddingVerdict, InputError,
-                           InternalConsistencyError, TypeVariant, analyze, classify_code,
-                           d_optimal_block, delete_vertex, dominated_extension, embed,
-                           paley_tournament, parse_line, random_tournament, verify_embedding)
-from tourney_codes.spectral import SpectralLine, Spectrum
-from tourney_codes import _floatrepr, cli, representation
+from tourney_codes import (EmbeddingVerdict, InputError, InternalConsistencyError,
+                           TypeVariant, analyze, classify_code, d_optimal_block,
+                           delete_vertex, dominated_extension, embed, paley_tournament,
+                           parse_line, random_tournament, verify_embedding)
+from tourney_codes.spectral import (BETA_ZERO_TOL, CLUSTER_GAP_FACTOR, SpectralLine,
+                                    Spectrum)
+from tourney_codes import _floatrepr, _paper, cli, representation
 from tourney_codes._paper import _check_embed_all
 from tourney_codes.cli import main
 from conftest import ORDER4_LINES, analysis_dict, spectrum_rows, tightness_dict
@@ -342,7 +343,7 @@ def test_switching_class_error_names_the_line(capsys, monkeypatch, shares):
 
 
 def test_internal_error_names_the_line(capsys, monkeypatch):
-    def broken(T, tol):
+    def broken(T):
         raise InternalConsistencyError("routes disagree")
 
     monkeypatch.setattr("tourney_codes.cli.analyze", broken)
@@ -373,27 +374,32 @@ def test_missing_file_is_input_error(capsys):
     assert "cannot read input" in err
 
 
-def test_nonpositive_tolerance_is_input_error(capsys):
-    rc, _, err = run_cli(capsys, "analyze", "3:101", "--eig-tol", "0")
-    assert rc == 2
-    assert "positive" in err
+# Type 4 with d = 19.  A main-angle zero threshold of 0.3 once read it as
+# type 1 with d = 18.
+N20_LINE = ("20:101101001000101110101000101110110000100000010101000100000111011110101111"
+            "0011001001110000110010110000000111001010100011100011001001100111110000000011"
+            "111100100110110110010110000001101000000011")
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
-@pytest.mark.parametrize("name", ["eig", "beta"])
-def test_non_finite_tolerance_is_input_error(capsys, name, value):
-    line = paley_tournament(7).line()
-    rc, out, err = run_cli(capsys, "analyze", line, f"--{name}-tol", value)
-    assert (rc, out) == (2, "") and "positive" in err
+@pytest.mark.parametrize("flag", [("--eig-tol", "0.05"), ("--beta-tol", "0.3")],
+                         ids=["eig-tol", "beta-tol"])
+@pytest.mark.parametrize("argv", [
+    ("analyze", N20_LINE), ("embed", N20_LINE), ("enumerate", "--n", "3"),
+    ("switching-class", "3:101"), ("count-tight", "--d", "1"), ("verify-paper",)],
+    ids=lambda argv: argv[0])
+def test_no_flag_sets_a_tolerance(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *flag])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.endswith(f"error: unrecognized arguments: {' '.join(flag)}\n")
 
 
-def test_env_tolerances_and_flag_precedence(capsys, monkeypatch):
-    # The tolerances come from their flags alone; the variables are not read.
+def test_the_environment_sets_no_tolerance(capsys, monkeypatch):
+    # The variables of earlier versions are not read.
     monkeypatch.setenv("TOURNEY_CODES_BETA_TOL", "1e-5")
     _, report, _ = run_json(capsys, "analyze", "3:101")
     assert report["tolerances"]["beta_tol"] == 1e-06
-    _, report, _ = run_json(capsys, "analyze", "3:101", "--beta-tol", "2e-6")
-    assert report["tolerances"]["beta_tol"] == 2e-6
 
 
 def test_verify_paper_quick(capsys):
@@ -413,11 +419,23 @@ def test_verify_paper_tsv_rows(capsys):
     assert all(row[0] == "PASS" for row in rows)
 
 
-def test_verify_paper_fails_under_absurd_tolerance(capsys):
-    rc, report, _ = run_json(capsys, "verify-paper", "--level", "quick",
-                             "--beta-tol", "1e-20")
-    assert rc == 1
-    assert report["all_pass"] is False
+@pytest.mark.parametrize("failure", ["false", "raise"])
+def test_verify_paper_fails_loudly(capsys, monkeypatch, failure):
+    # A check that crashes is a failed check, not an aborted run.
+    detail = {"false": "counterexample spectrum found", "raise": "RuntimeError: check bug"}[
+        failure]
+
+    def broken(n):
+        if failure == "raise":
+            raise RuntimeError("check bug")
+        return False, detail
+
+    monkeypatch.setattr(_paper, "_check_double_zero", broken)
+    rc, report, _ = run_json(capsys, "verify-paper", "--level", "quick")
+    assert rc == 1 and report["all_pass"] is False
+    rc, out, _ = run_cli(capsys, "verify-paper", "--level", "quick", "--format", "tsv")
+    assert rc == 1 and out.count("FAIL\t") == 2
+    assert f"FAIL\tdouble-zero-exclusion-n4\t{detail}\n" in out
 
 
 def test_import_leaves_the_process_pool_unloaded():
@@ -518,11 +536,11 @@ def test_exported_functions_are_plain_functions():
 
 
 def test_embed_all_uses_the_embedding_analysis(monkeypatch):
-    def refuse(T, tol):
+    def refuse(T):
         raise AssertionError("analyze called again")
 
     monkeypatch.setattr("tourney_codes._paper.analyze", refuse)
-    ok, detail = _check_embed_all(5, DEFAULT_TOLERANCES)
+    ok, detail = _check_embed_all(5)
     assert ok, detail
 
 
@@ -581,8 +599,7 @@ def test_encoder_rejects_what_json_rejects(value):
 def envelope(command, text, results):
     return {"command": command, "version": tourney_codes.__version__,
             "inputs_digest": hashlib.sha256(text.encode()).hexdigest(),
-            "tolerances": {"eig_tol": DEFAULT_TOLERANCES.cluster_gap_factor,
-                           "beta_tol": DEFAULT_TOLERANCES.beta_zero},
+            "tolerances": {"eig_tol": CLUSTER_GAP_FACTOR, "beta_tol": BETA_ZERO_TOL},
             "results": results}
 
 
@@ -814,10 +831,10 @@ def test_share_errors_match_the_serial_run(capsys, monkeypatch, bad, error):
         for k in bad:
             lines[k] = "1:"
     else:
-        def broken(T, tol):
+        def broken(T):
             if T.line() in bad_lines:
                 raise InternalConsistencyError("routes disagree")
-            return analyze(T, tol)
+            return analyze(T)
 
         monkeypatch.setattr("tourney_codes.cli.analyze", broken)
     text = "\n".join(lines) + "\n"
@@ -834,12 +851,12 @@ def test_a_failing_child_share_writes_nothing(capsys, monkeypatch, failure):
     last = text.splitlines()[-1]
     parent = os.getpid()
 
-    def broken(T, tol):
+    def broken(T):
         if T.line() == last and os.getpid() != parent:
             if failure == "raise":
                 raise RuntimeError("worker bug")
             os.kill(os.getpid(), signal.SIGKILL)
-        return analyze(T, tol)
+        return analyze(T)
 
     monkeypatch.setattr("tourney_codes.cli.analyze", broken)
     # The 11 lines split 5 + 6, so the child runs lines 6-11.  Its share
@@ -858,12 +875,12 @@ def test_the_first_process_raises_the_error_of_a_failed_share(capsys, monkeypatc
     bad = text.splitlines()[-1]
     calls = tmp_path / "calls"
 
-    def broken(T, tol):
+    def broken(T):
         if T.line() == bad:
             with open(calls, "a", encoding="ascii") as handle:
                 handle.write(f"{os.getpid()}\n")
             raise (InputError if error == "input" else RuntimeError)("worker bug")
-        return analyze(T, tol)
+        return analyze(T)
 
     monkeypatch.setattr("tourney_codes.cli.analyze", broken)
     serial = run_shares(capsys, monkeypatch, 1, text, "analyze")
@@ -883,10 +900,10 @@ def test_an_unexpected_error_fails_alike_in_any_share(capsys, monkeypatch, where
     lines = text.splitlines()
     bad = lines[where]
 
-    def broken(T, tol):
+    def broken(T):
         if T.line() == bad:
             raise RuntimeError("worker bug")
-        return analyze(T, tol)
+        return analyze(T)
 
     monkeypatch.setattr("tourney_codes.cli.analyze", broken)
     k = where % len(lines) + 1
@@ -976,8 +993,7 @@ def test_workers_leave_the_spectrum_rows_unbuilt(monkeypatch):
     for name, real in (("analyze", analyze), ("embed", embed)):
         monkeypatch.setattr(cli, name, lambda *a, real=real: made.append(real(*a)) or made[-1])
     T = parse_line("3:101")
-    results = [cli._analyze_worker(T, DEFAULT_TOLERANCES),
-               cli._embed_worker(T, DEFAULT_TOLERANCES)]
+    results = [cli._analyze_worker(T), cli._embed_worker(T)]
     # the worker's result holds the report's own Spectrum, for the template
     for result, report in zip(results, [made[0], made[1].report], strict=True):
         assert result["spectrum"] is report.spectrum

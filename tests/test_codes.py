@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import tourney_codes
-from tourney_codes import representation, spectral
+from tourney_codes import codes, representation, spectral, tournament
 from tourney_codes import (BlockFormCert, DrtParams, InputError, InternalConsistencyError,
                            TightnessReport, Tournament, TypeVariant, adjacency, analyze,
                            block_form_check, canonical_form, classify_code,
@@ -157,6 +157,22 @@ def test_block_form_needs_even_order(cycle3):
 def test_deleted_vertex_check(paley7, deleted7):
     assert drt_minus_vertex_check(deleted7)
     assert drt_minus_vertex_check(delete_vertex(paley7, 4))
+
+
+def test_deleted_vertex_certificate_builds_each_adjacency_once(paley11, monkeypatch):
+    # The forced extension reads its out-degrees from the adjacency matrix
+    # it extends; the S^2 of the extension and of the line need one each.
+    report = analyze(delete_vertex(paley11, 4))
+    orders = []
+
+    def counted(T):
+        orders.append(T.n)
+        return adjacency(T)
+
+    monkeypatch.setattr(tournament, "adjacency", counted)
+    monkeypatch.setattr(codes, "adjacency", counted)
+    assert classify_code(report).certificate_kind == "DrtMinusVertex"
+    assert orders == [10, 11, 10]
 
 
 def test_deleted_vertex_smallest_case(two_vertex):

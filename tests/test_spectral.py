@@ -196,7 +196,7 @@ def _group_spectrum_reference(eigenvalues, eigenvectors, *, exact_s2=None,
     V = V[:, order]
 
     radius = max(1.0, float(np.abs(w).max()))
-    gap_tol = tol.cluster_gap_factor * radius
+    gap_tol = spectral.CLUSTER_GAP_FACTOR * radius
     clusters = spectral.cluster(w, gap_tol)
 
     warnings = []
