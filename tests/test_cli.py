@@ -395,6 +395,30 @@ def test_no_flag_sets_a_tolerance(capsys, argv, flag):
     assert err.endswith(f"error: unrecognized arguments: {' '.join(flag)}\n")
 
 
+def run_usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+# A tolerance value that once failed validation is still refused: the flags
+# are gone, so any value is a usage error.
+def test_nonpositive_tolerance_is_input_error(capsys):
+    rc, out, err = run_usage_error(capsys, "analyze", "3:101", "--eig-tol", "0")
+    assert (rc, out) == (2, "")
+    assert "unrecognized arguments: --eig-tol 0" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("name", ["eig", "beta"])
+def test_non_finite_tolerance_is_input_error(capsys, name, value):
+    line = paley_tournament(7).line()
+    rc, out, err = run_usage_error(capsys, "analyze", line, f"--{name}-tol", value)
+    assert (rc, out) == (2, "")
+    assert f"unrecognized arguments: --{name}-tol {value}" in err
+
+
 def test_the_environment_sets_no_tolerance(capsys, monkeypatch):
     # The variables of earlier versions are not read.
     monkeypatch.setenv("TOURNEY_CODES_BETA_TOL", "1e-5")
