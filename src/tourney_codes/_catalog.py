@@ -17,8 +17,6 @@ from .errors import InputError
 from .spectral import spectrum_of
 from .tournament import Tournament, _read_ascii, parse_catalog
 
-BUILTIN_CATALOG_ORDERS = (3, 7, 11)
-
 
 def verify_no_double_zero_spectrum(n: int) -> bool:
     """Exhaustively confirm that no tournament on n vertices has spectrum

@@ -202,17 +202,15 @@ def _embed_worker(T: Tournament) -> dict:
 # first-call setup run again in the child), which a smaller share does
 # not win back.
 _MIN_SHARE_LINES = 16
-# What a forked share writes before its text once the whole share is encoded.
-_SHARE_DONE = "+"
 
 
 def _share_count(work: int) -> int:
-    """One share per CPU this process may run on, of _MIN_SHARE_LINES work or more."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity outside Linux
+    """One share per CPU this process may run on, of _MIN_SHARE_LINES work
+    or more.  Without CPU affinity or memfd_create, as outside Linux, a
+    batch runs in one process."""
+    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "memfd_create")):
         return 1
-    return max(1, min(cpus, work // _MIN_SHARE_LINES))
+    return max(1, min(len(os.sched_getaffinity(0)), work // _MIN_SHARE_LINES))
 
 
 def _split(entries: list, count: int) -> list[list]:
@@ -233,16 +231,16 @@ def _write_joined(stream, texts: list[str], sep: str) -> None:
 
 
 def _fork_share(worker, encode, sep: str, entries: list):
-    """Run one share in a child process; returns the child's pid and its pipe.
+    """Run one share in a child process; returns the child's pid and the
+    in-memory file it writes.
 
-    The child writes nothing until its whole share is encoded, then
-    _SHARE_DONE and its texts joined by sep; a share that raises exits 1
-    having written nothing.  The child ends in os._exit, so it never
-    returns into the caller.
+    The child writes its texts joined by sep into the file, and its exit
+    status is the share's verdict: 0 only once the whole text is in the
+    file.  The child ends in os._exit, so it never returns into the caller.
     """
     import warnings
 
-    read_fd, write_fd = os.pipe()
+    file = open(os.memfd_create("share"), "w+", encoding="utf-8")
     # Python 3.12+ warns on stderr when a process with threads forks, as
     # this one has when OpenBLAS runs its own thread pool.  OpenBLAS stops
     # that pool around a fork and starts it again when the child needs it.
@@ -250,20 +248,15 @@ def _fork_share(worker, encode, sep: str, entries: list):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
+    except BaseException:
+        file.close()
         raise
     if pid:
-        os.close(write_fd)
-        return pid, open(read_fd, encoding="utf-8")
+        return pid, file
     code = 1
     try:
-        os.close(read_fd)
-        texts = encode(_map_lines(worker, entries))
-        with open(write_fd, "w", encoding="utf-8") as pipe:
-            pipe.write(_SHARE_DONE)
-            _write_joined(pipe, texts, sep)
+        _write_joined(file, encode(_map_lines(worker, entries)), sep)
+        file.flush()  # os._exit does not flush
         code = 0
     finally:
         os._exit(code)
@@ -274,18 +267,22 @@ def _write_shares(worker, encode, shares: list[list], head: str, sep: str,
     """Write head, the texts of every share joined by sep, then tail.
 
     The first share runs in this process and every other one in a child
-    of its own.  Nothing is written before every share has succeeded.  A
-    child whose share fails leaves it to this process, which runs it again
-    to raise its error, so a failure raises the error of the earliest
-    failing line, as a run in one process does.
+    of its own.  Nothing is written before every child has exited with
+    success.  A child whose share fails leaves it to this process, which
+    runs it again to raise its error, so a failure raises the error of the
+    earliest failing line, as a run in one process does.
     """
-    children = []
+    files, running = [], []  # running: the pids not yet reaped
     try:
         for entries in shares[1:]:
-            children.append(_fork_share(worker, encode, sep, entries))
+            pid, file = _fork_share(worker, encode, sep, entries)
+            files.append(file)
+            running.append(pid)
         texts = encode(_map_lines(worker, shares[0]))
-        for (_, pipe), entries in zip(children, shares[1:]):
-            if pipe.read(1) != _SHARE_DONE:
+        for entries in shares[1:]:
+            status = os.waitpid(running[0], 0)[1]
+            del running[0]
+            if status:
                 _map_lines(worker, entries)
                 # The share ran here without error, so the child ended of a
                 # cause of its own, such as a signal.
@@ -295,21 +292,18 @@ def _write_shares(worker, encode, shares: list[list], head: str, sep: str,
         sys.stdout.write(head)
         _write_joined(sys.stdout, texts, sep)
         del texts
-        while children:
-            pid, pipe = children[0]
+        for file in files:
             sys.stdout.write(sep)
-            while block := pipe.read(1 << 16):
+            file.seek(0)
+            while block := file.read(1 << 16):
                 sys.stdout.write(block)
-            pipe.close()
-            del children[0]
-            if os.waitpid(pid, 0)[1]:
-                raise InternalConsistencyError(f"worker process {pid} failed while writing")
         sys.stdout.write(tail)
     finally:
-        for pid, pipe in children:  # still running only when a share failed
+        for file in files:
+            file.close()
+        for pid in running:  # left only when a share or a fork failed
             import signal
 
-            pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
@@ -477,7 +471,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run the command line argv; returns the exit code."""
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error, or --help
+        return exc.code
     try:
         return args.fn(args)
     except InputError as exc:

@@ -388,18 +388,16 @@ N20_LINE = ("20:1011010010001011101010001011101100001000000101010001000001110111
     ("switching-class", "3:101"), ("count-tight", "--d", "1"), ("verify-paper",)],
     ids=lambda argv: argv[0])
 def test_no_flag_sets_a_tolerance(capsys, argv, flag):
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, *flag])
-    out, err = capsys.readouterr()
-    assert exc.value.code == 2 and out == ""
+    rc, out, err = run_usage_error(capsys, *argv, *flag)
+    assert rc == 2 and out == ""
     assert err.endswith(f"error: unrecognized arguments: {' '.join(flag)}\n")
 
 
 def run_usage_error(capsys, *argv):
-    with pytest.raises(SystemExit) as exc:
-        main(list(argv))
+    """main(argv) returns argparse's exit code in place of raising SystemExit."""
+    rc = main(list(argv))
     captured = capsys.readouterr()
-    return exc.value.code, captured.out, captured.err
+    return rc, captured.out, captured.err
 
 
 # A tolerance value that once failed validation is still refused: the flags
@@ -869,11 +867,12 @@ def test_share_errors_match_the_serial_run(capsys, monkeypatch, bad, error):
     assert no_child_left()
 
 
-@pytest.mark.parametrize("failure", ["raise", "die"])
+@pytest.mark.parametrize("failure", ["raise", "die", "die-writing"])
 def test_a_failing_child_share_writes_nothing(capsys, monkeypatch, failure):
     text = share_batch()
     last = text.splitlines()[-1]
     parent = os.getpid()
+    write_joined = cli._write_joined
 
     def broken(T):
         if T.line() == last and os.getpid() != parent:
@@ -882,7 +881,17 @@ def test_a_failing_child_share_writes_nothing(capsys, monkeypatch, failure):
             os.kill(os.getpid(), signal.SIGKILL)
         return analyze(T)
 
-    monkeypatch.setattr("tourney_codes.cli.analyze", broken)
+    def write_half(stream, texts, sep):
+        if os.getpid() != parent:  # the child writes half its texts, then dies
+            write_joined(stream, texts[:len(texts) // 2], sep)
+            stream.flush()
+            os.kill(os.getpid(), signal.SIGKILL)
+        write_joined(stream, texts, sep)
+
+    if failure == "die-writing":
+        monkeypatch.setattr(cli, "_write_joined", write_half)
+    else:
+        monkeypatch.setattr("tourney_codes.cli.analyze", broken)
     # The 11 lines split 5 + 6, so the child runs lines 6-11.  Its share
     # succeeds when run again here, so the child's failure is its own.
     assert run_shares(capsys, monkeypatch, 2, text, "analyze") == (
@@ -949,6 +958,19 @@ def test_small_batches_do_not_fork(capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         assert run_cli(capsys, command, "-")[0] == 0
         assert run_cli(capsys, command, "4:111010")[0] == 0
+
+
+@pytest.mark.parametrize("missing", ["memfd_create", "sched_getaffinity"])
+def test_batches_do_not_fork_outside_linux(capsys, monkeypatch, missing):
+    def refuse():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.delattr(os, missing, raising=False)
+    monkeypatch.setattr(os, "fork", refuse)
+    # 33 lines make two shares wherever two CPUs are usable.
+    rc, out, err = run_shares(capsys, monkeypatch, None, share_batch() * 3, "analyze")
+    assert rc == 0 and out and err == ""
 
 
 def test_switching_class_shares_follow_its_switchings(capsys, monkeypatch):
@@ -1023,18 +1045,27 @@ def test_workers_leave_the_spectrum_rows_unbuilt(monkeypatch):
         assert result["spectrum"] is report.spectrum
 
 
-def test_a_failed_fork_leaks_no_pipe(capsys, monkeypatch):
-    def no_process():
-        raise BlockingIOError("fork refused")
+@pytest.mark.parametrize("call", ["fork", "memfd_create"])
+def test_a_failed_fork_leaks_no_file(capsys, monkeypatch, call):
+    # Of 3 shares, fork fails for the first child; memfd_create fails for
+    # the second, after the first child has forked.
+    real, calls = getattr(os, call), []
 
-    monkeypatch.setattr(os, "fork", no_process)
+    def refused(*args):
+        calls.append(args)
+        if call == "fork" or len(calls) == 2:
+            raise BlockingIOError(f"{call} refused")
+        return real(*args)
+
+    monkeypatch.setattr(os, call, refused)
     monkeypatch.setattr("sys.stdin", io.StringIO(share_batch()))
-    pin_shares(monkeypatch, 2)
+    pin_shares(monkeypatch, 3)
     open_fds = sorted(os.listdir("/proc/self/fd"))
-    with pytest.raises(BlockingIOError):
+    with pytest.raises(BlockingIOError, match=f"{call} refused"):
         main(["analyze", "-"])
     assert sorted(os.listdir("/proc/self/fd")) == open_fds
     assert capsys.readouterr().out == ""
+    assert no_child_left()
 
 
 # ------------------------------------------------------------- process exit
